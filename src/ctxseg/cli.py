@@ -307,8 +307,8 @@ def _cmd_viz(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    from .model import predict_mask, text_gated_forward
-    from .train import _as_weights, _embed_report
+    from .model import predict_mask
+    from .train import _as_weights, _forward_batch
 
     cfg, _, _, echo = load_config(args.config, args.override, args.seed)
     raw, maxval = read_pgm(args.image)
@@ -316,9 +316,7 @@ def _cmd_predict(args) -> int:
         raise DataFormatError(f"{args.image}: predict expects a 16-bit image PGM")
     image = decode_image(raw)
     weights = _as_weights(args.checkpoint, cfg.model, cfg.ablation)
-    logits = text_gated_forward(image[None, None],
-                                _embed_report(args.report, cfg.model),
-                                weights, cfg.model, train=False)
+    logits = _forward_batch(weights, [image], [args.report], cfg, train=False)
     thr = args.threshold if args.threshold is not None else cfg.threshold
     mask = predict_mask(logits, thr)[0, 0]
     if args.mask_out:

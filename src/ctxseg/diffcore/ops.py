@@ -1,14 +1,15 @@
 """Forward primitives and their reverse-mode gradients.
 
-Everything operates on DiffTensor and returns DiffTensor. Convolutions use an
-im2col layout so the inner loop is a single BLAS matmul; the column matrix is
-kept on the closure for the backward pass.
+Everything operates on DiffTensor and returns DiffTensor. `conv2d` flattens
+the padded NCHW input to (N, C, Hp*Wp), where each kernel tap (di, dj) reads
+the same contiguous run shifted by di*Wp + dj. Forward and backward are then
+one BLAS matmul per tap, and the backward closure keeps the padded input,
+not a column matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import NumericalError, ShapeError
 from .tensor import DiffTensor
@@ -274,17 +275,25 @@ def rowsoftmax(x: DiffTensor) -> DiffTensor:
 # ---------------------------------------------------------------------------
 # convolution / pooling
 
-def _im2col(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """(N,C,Hp,Wp) -> (N*oh*ow, C*k*k) column matrix (copies once)."""
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    # win: (N, C, oh, ow, k, k) -> (N, oh, ow, C, k, k)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(xp.shape[0] * oh * ow, -1)
-    return np.ascontiguousarray(cols)
+def _tap_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, broadcast over b's batch axis. numpy's matmul bypasses BLAS
+    when the inner dimension is 1 (the one-channel stem, the one-channel
+    head's input gradient), and broadcasting is several times faster there."""
+    return a * b if a.shape[-1] == 1 else a @ b
 
 
 def conv2d(x: DiffTensor, weight: DiffTensor, bias: DiffTensor,
            stride: int = 1, padding: int = 0) -> DiffTensor:
-    """2-D cross-correlation over NCHW input with an OIHW kernel."""
+    """2-D cross-correlation over NCHW input with an OIHW kernel.
+
+    Runs one GEMM per kernel tap on the padded input flattened to
+    (N, Cin, Hp*Wp): output position p on the padded-width grid reads tap
+    (di, dj) at flat index p + di*Wp + dj, so each tap is a contiguous slice.
+    The output is always computed densely at stride 1 on that grid; for
+    stride > 1 it is then subsampled to every `stride`-th row and column.
+    The backward closure holds the padded input and the tap-major kernel,
+    nothing the size of a column matrix.
+    """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be NCHW, got {x.data.shape}")
     if weight.data.ndim != 4:
@@ -306,34 +315,43 @@ def conv2d(x: DiffTensor, weight: DiffTensor, bias: DiffTensor,
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d: kernel {k} exceeds padded input {h + 2 * padding}")
 
+    hp, wp = h + 2 * padding, w + 2 * padding
     if padding:
-        xp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
+        xp = np.zeros((n, cin, hp, wp), dtype=x.data.dtype)
         xp[:, :, padding:padding + h, padding:padding + w] = x.data
     else:
         xp = x.data
-    cols = _im2col(xp, k, stride, oh, ow)                       # (N*oh*ow, cin*k*k)
-    wmat = weight.data.reshape(cout, -1)                        # (cout, cin*k*k)
-    y = cols @ wmat.T + bias.data[None, :]
-    y = np.ascontiguousarray(
-        y.reshape(n, oh, ow, cout).transpose(0, 3, 1, 2))
+    xf = xp.reshape(n, cin, hp * wp)
+    # Dense stride-1 rows on the padded-width grid; the last k-1 columns of
+    # each row wrap into the next row and are never kept.
+    rows = hp - k + 1
+    span = rows * wp - (k - 1)
+    taps = [(di, dj, di * wp + dj) for di in range(k) for dj in range(k)]
+    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))   # (k, k, cout, cin)
+    yd = np.zeros((n, cout, rows * wp), dtype=xp.dtype)
+    for di, dj, off in taps:
+        yd[:, :, :span] += _tap_gemm(wt[di, dj], xf[:, :, off:off + span])
+    keep = (slice(None), slice(None),
+            slice(0, stride * oh, stride), slice(0, stride * ow, stride))
+    y = yd.reshape(n, cout, rows, wp)[keep] + bias.data[None, :, None, None]
     out = DiffTensor._node(y, (x, weight, bias), None)
 
     def back():
-        go = out.grad.transpose(0, 2, 3, 1).reshape(n * oh * ow, cout)
-        bias.accum_grad(go.sum(axis=0))
-        weight.accum_grad((go.T @ cols).reshape(weight.data.shape))
-        if x.requires_grad:
-            gcols = go @ wmat                                   # (N*oh*ow, cin*k*k)
-            gcols = gcols.reshape(n, oh, ow, cin, k, k)
-            gxp = np.zeros_like(xp)
-            for di in range(k):
-                for dj in range(k):
-                    gxp[:, :, di:di + stride * oh:stride,
-                        dj:dj + stride * ow:stride] += \
-                        gcols[:, :, :, :, di, dj].transpose(0, 3, 1, 2)
-            if padding:
-                gxp = gxp[:, :, padding:padding + h, padding:padding + w]
-            x.accum_grad(gxp)
+        bias.accum_grad(out.grad.sum(axis=(0, 2, 3)))
+        gd = np.zeros((n, cout, rows * wp), dtype=xp.dtype)
+        gd.reshape(n, cout, rows, wp)[keep] = out.grad
+        ga = gd[:, :, :span]
+        gw = np.empty_like(wt)
+        gxf = np.zeros_like(xf) if x.requires_grad else None
+        for di, dj, off in taps:
+            xs = xf[:, :, off:off + span]
+            gw[di, dj] = (ga @ xs.transpose(0, 2, 1)).sum(axis=0)
+            if gxf is not None:
+                gxf[:, :, off:off + span] += _tap_gemm(wt[di, dj].T, ga)
+        weight.accum_grad(gw.transpose(2, 3, 0, 1))
+        if gxf is not None:
+            x.accum_grad(gxf.reshape(n, cin, hp, wp)[:, :, padding:padding + h,
+                                                       padding:padding + w])
 
     out._backward = back
     return out

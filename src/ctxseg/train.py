@@ -95,19 +95,19 @@ def _effective_policy(cfg: TrainConfig) -> AugmentPolicy:
     return cfg.policy
 
 
-def _report_text(sample: Sample, cfg: TrainConfig) -> str:
-    return "" if cfg.ablation == "no_text" else sample.report
-
-
 def _embed_report(text: str, mc: ModelConfig):
     return embed(tokenize(text, mc.max_tokens), mc.d_e, mc.embed_seed)
 
 
-def _forward_batch(weights, samples, cfg: TrainConfig, train: bool):
-    imgs = np.stack([s.image for s in samples])[:, None, :, :]
+def _forward_batch(weights, images, reports, cfg: TrainConfig, train: bool):
+    """Logits for (H, W) images and their reports under cfg's ablation arm:
+    `baseline_unet` has no text path and `no_text` reads every report as ""."""
+    imgs = np.stack(images)[:, None, :, :]
     if cfg.ablation == "baseline_unet":
         return unet_forward(imgs, weights, cfg.model, train=train)
-    embs = [_embed_report(_report_text(s, cfg), cfg.model) for s in samples]
+    if cfg.ablation == "no_text":
+        reports = [""] * len(reports)
+    embs = [_embed_report(r, cfg.model) for r in reports]
     return text_gated_forward(imgs, embs, weights, cfg.model, train=train)
 
 
@@ -144,7 +144,8 @@ def evaluate(checkpoint, samples, cfg: TrainConfig,
     scores = []
     for start in range(0, len(samples), 8):
         chunk = samples[start:start + 8]
-        logits = _forward_batch(weights, chunk, cfg, train=False)
+        logits = _forward_batch(weights, [s.image for s in chunk],
+                                [s.report for s in chunk], cfg, train=False)
         preds = predict_mask(logits, thr)
         for j, s in enumerate(chunk):
             scores.append(dice(preds[j, 0], s.mask))
@@ -187,7 +188,8 @@ def train(cfg: TrainConfig, dataset, out_dir, fold_seed: int | None = None
                                     mix64(cfg.seed, fold_seed, epoch, int(i)))
                      for i in batch_idx]
             targets = np.stack([s.mask for s in batch]).astype(np.float32)[:, None]
-            logits = _forward_batch(weights, batch, cfg, train=True)
+            logits = _forward_batch(weights, [s.image for s in batch],
+                                    [s.report for s in batch], cfg, train=True)
             loss = dc.bce_with_logits(logits, targets)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
@@ -327,12 +329,7 @@ def swap_word(text: str, src: str, dst: str) -> str:
 
 def _predict_one(weights, sample: Sample, report: str, cfg: TrainConfig,
                  threshold: float):
-    img = sample.image[None, None, :, :]
-    if cfg.ablation == "baseline_unet":
-        logits = unet_forward(img, weights, cfg.model, train=False)
-    else:
-        logits = text_gated_forward(img, _embed_report(report, cfg.model),
-                                    weights, cfg.model, train=False)
+    logits = _forward_batch(weights, [sample.image], [report], cfg, train=False)
     return predict_mask(logits, threshold)[0, 0]
 
 

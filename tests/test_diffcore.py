@@ -83,6 +83,47 @@ class TestConv2d:
         grad_check(lambda: proj_loss(dc.conv2d(
             params["x"], params["w"], params["b"], stride=2, padding=1)), params)
 
+    # The tap offsets depend on the padded width, so non-square inputs catch
+    # a row/column mix-up that square ones cannot.
+    NON_SQUARE = [pytest.param(hw, k, stride, padding,
+                               id=f"{hw[0]}x{hw[1]}-k{k}-s{stride}-p{padding}")
+                  for hw in ((6, 9), (9, 6)) for k in (1, 3)
+                  for stride, padding in ((1, 0), (1, 1), (2, 0), (2, 1))]
+
+    @pytest.mark.parametrize("hw,k,stride,padding", NON_SQUARE)
+    def test_non_square_matches_loop_oracle(self, rng, hw, k, stride, padding):
+        x = rng.standard_normal((2, 3, *hw)).astype(np.float32)
+        w = rng.standard_normal((4, 3, k, k)).astype(np.float32)
+        b = rng.standard_normal(4).astype(np.float32)
+        got = dc.conv2d(DiffTensor(x), DiffTensor(w), DiffTensor(b),
+                        stride=stride, padding=padding).data
+        want = conv2d_loops(x, w, b, stride=stride, padding=padding)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, atol=1e-6, rtol=1e-5)
+
+    @pytest.mark.parametrize("hw,k,stride,padding", NON_SQUARE)
+    def test_non_square_gradients(self, verify64, rng, hw, k, stride, padding):
+        params = {
+            "x": DiffTensor(rng.standard_normal((2, 2, *hw)), requires_grad=True),
+            "w": DiffTensor(rng.standard_normal((3, 2, k, k)), requires_grad=True),
+            "b": DiffTensor(rng.standard_normal(3), requires_grad=True),
+        }
+        grad_check(lambda: proj_loss(dc.conv2d(
+            params["x"], params["w"], params["b"], stride=stride,
+            padding=padding)), params)
+
+    def test_gradients_without_input_grad(self, verify64, rng):
+        # the stem conv on the image: only the kernel and bias learn
+        x = DiffTensor(rng.standard_normal((2, 1, 6, 9)))
+        params = {
+            "w": DiffTensor(rng.standard_normal((3, 1, 3, 3)), requires_grad=True),
+            "b": DiffTensor(rng.standard_normal(3), requires_grad=True),
+        }
+        grad_check(lambda: proj_loss(dc.conv2d(
+            x, params["w"], params["b"], stride=1, padding=1)), params)
+        assert x.grad is None
+        assert params["w"].grad is not None and params["b"].grad is not None
+
 
 # ---------------------------------------------------------------------------
 # maxpool2

@@ -185,6 +185,15 @@ class TestWordSwapProbe:
         assert "flip_rate_pct" in agg and "mean_area_ratio_pct" in agg
         assert 0.0 <= agg["flip_rate_pct"] <= 100.0
 
+    def test_no_text_probe_ignores_swaps(self, tiny_dataset, tmp_path):
+        cfg = tiny_train_config(epochs=1, ablation="no_text")
+        rec = train(cfg, tiny_dataset, tmp_path)
+        rep = word_swap_probe(rec.checkpoint, tiny_dataset, [("left", "right")],
+                              cfg)
+        agg = rep["swaps"]["left->right"]
+        assert all(e["iou"] == 1.0 for e in agg["entries"])
+        assert agg["flip_rate"] == 0.0
+
     def test_swap_word_is_word_bounded(self):
         assert swap_word("left leftover cleft", "left", "right") == \
                "right leftover cleft"
