@@ -222,10 +222,3 @@ def augment_sample(sample: Sample, policy: AugmentPolicy, seed: int) -> Sample:
         except RejectedSample:
             continue
     return sample
-
-
-def load_lexicon(path) -> dict:
-    import json
-    with open(path) as f:
-        lex = json.load(f)
-    return {str(k).lower(): [str(s) for s in v] for k, v in lex.items()}

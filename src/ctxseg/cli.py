@@ -6,8 +6,10 @@ level seed; an empty or missing file means all defaults. Dotted --override
 keys (repeatable) are applied last, and every artifact-producing run writes
 an invocation echo sufficient to reproduce it.
 
-Exit codes: 0 success, 1 usage/config error, 2 data or IO error,
-3 numerical failure.
+Exit codes: 0 success; 1 usage or config error, or any other invalid value
+(a ValueError, e.g. a swap word no report contains, or viz on an arm without
+cross-attention); 2 data, shape or IO error; 3 numerical failure. Each error
+prints one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from .augment import AugmentPolicy
 from .data import (GeneratorConfig, SplitSpec, decode_image, dice,
                    generate_dataset, read_dataset, read_pgm, write_dataset,
                    write_pgm)
-from .errors import ConfigError, DataFormatError, NumericalError
+from .errors import ConfigError, DataFormatError, NumericalError, ShapeError
 from .model import ModelConfig
-from .train import (TrainConfig, ablate, attention_dump, config_to_dict,
-                    evaluate, train, word_swap_probe)
+from .train import (TrainConfig, ablate, attention_dump, evaluate, train,
+                    word_swap_probe)
 
 _SECTIONS = {
     "train": TrainConfig,
@@ -349,12 +351,15 @@ def run(argv) -> int:
     except (CliUsageError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (DataFormatError, OSError) as e:
+    except (DataFormatError, ShapeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

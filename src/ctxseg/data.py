@@ -313,13 +313,6 @@ def split_indices(n: int, fractions, fold_seed: int):
             perm[n_tr + n_va:].tolist())
 
 
-def mc_split(n: int, spec: SplitSpec) -> list:
-    """Monte Carlo cross-validation: one independent partition per fold seed."""
-    if n < 10:
-        raise ValueError(f"need at least 10 samples to split, got {n}")
-    return [split_indices(n, spec.fractions, fs) for fs in spec.fold_seeds]
-
-
 def _as_path(p):
     from pathlib import Path
     return Path(p)

@@ -1,7 +1,7 @@
 """Central finite-difference verification of analytic gradients.
 
-Meant to run in 64-bit verification mode (CTXN_VERIFY=1 or verify_mode()); in
-32-bit mode the difference quotient itself is too noisy to certify anything.
+Meant to run in 64-bit verification mode (CTXN_VERIFY=1 or set_verify(True));
+in 32-bit mode the difference quotient itself is too noisy to certify anything.
 """
 
 from __future__ import annotations

@@ -14,12 +14,6 @@ import numpy as np
 from ..errors import NumericalError, ShapeError
 from .tensor import DiffTensor
 
-_MASK_NEG = -1e30  # additive pre-softmax mask; underflows to exactly 0 after exp
-
-
-def _as_dt(x) -> DiffTensor:
-    return x if isinstance(x, DiffTensor) else DiffTensor(x)
-
 
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
@@ -32,19 +26,6 @@ def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     def back():
         a.accum_grad(out.grad)
         b.accum_grad(out.grad)
-
-    out._backward = back
-    return out
-
-
-def sub(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub: shapes {a.data.shape} vs {b.data.shape}")
-    out = DiffTensor._node(a.data - b.data, (a, b), None)
-
-    def back():
-        a.accum_grad(out.grad)
-        b.accum_grad(-out.grad)
 
     out._backward = back
     return out
@@ -88,14 +69,14 @@ def add_const(a: DiffTensor, c) -> DiffTensor:
 
 
 def add_rowvec(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    """a (m×n) + b (n,) broadcast over rows; both differentiable."""
-    if a.data.ndim != 2 or b.data.shape != (a.data.shape[1],):
+    """a (..., m, n) + b (n,) broadcast over every row; both differentiable."""
+    if a.data.ndim < 2 or b.data.shape != (a.data.shape[-1],):
         raise ShapeError(f"add_rowvec: {a.data.shape} vs {b.data.shape}")
-    out = DiffTensor._node(a.data + b.data[None, :], (a, b), None)
+    out = DiffTensor._node(a.data + b.data, (a, b), None)
 
     def back():
         a.accum_grad(out.grad)
-        b.accum_grad(out.grad.sum(axis=0))
+        b.accum_grad(out.grad.reshape(-1, b.data.size).sum(axis=0))
 
     out._backward = back
     return out
@@ -129,37 +110,14 @@ def reshape(a: DiffTensor, shape) -> DiffTensor:
 
 
 def transpose2(a: DiffTensor) -> DiffTensor:
-    if a.data.ndim != 2:
+    """Swap the last two axes of a matrix or a stack of matrices."""
+    if a.data.ndim < 2:
         raise ShapeError(f"transpose2 expects a matrix, got {a.data.shape}")
-    out = DiffTensor._node(np.ascontiguousarray(a.data.T), (a,), None)
+    swapped = np.ascontiguousarray(np.swapaxes(a.data, -1, -2))
+    out = DiffTensor._node(swapped, (a,), None)
 
     def back():
-        a.accum_grad(out.grad.T)
-
-    out._backward = back
-    return out
-
-
-def batch_item(x: DiffTensor, n: int) -> DiffTensor:
-    """Select item n along the leading axis."""
-    out = DiffTensor._node(np.ascontiguousarray(x.data[n]), (x,), None)
-
-    def back():
-        g = np.zeros_like(x.data)
-        g[n] = out.grad
-        x.accum_grad(g)
-
-    out._backward = back
-    return out
-
-
-def stack_batch(items) -> DiffTensor:
-    items = list(items)
-    out = DiffTensor._node(np.stack([t.data for t in items]), tuple(items), None)
-
-    def back():
-        for n, t in enumerate(items):
-            t.accum_grad(out.grad[n])
+        a.accum_grad(np.swapaxes(out.grad, -1, -2))
 
     out._backward = back
     return out
@@ -207,17 +165,6 @@ def tanh(x: DiffTensor) -> DiffTensor:
     return out
 
 
-def sigmoid(x: DiffTensor) -> DiffTensor:
-    y = sigmoid_np(x.data)
-    out = DiffTensor._node(y, (x,), None)
-
-    def back():
-        x.accum_grad(out.grad * y * (1.0 - y))
-
-    out._backward = back
-    return out
-
-
 def sigmoid_np(z: np.ndarray) -> np.ndarray:
     # branch form avoids overflow in exp for large |z|
     out = np.empty_like(z)
@@ -228,45 +175,52 @@ def sigmoid_np(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def elementwise(x: DiffTensor, kind: str) -> DiffTensor:
-    """Shape-preserving nonlinearity: kind in {relu, tanh, sigmoid}."""
-    try:
-        return {"relu": relu, "tanh": tanh, "sigmoid": sigmoid}[kind](x)
-    except KeyError:
-        raise ValueError(f"unknown elementwise kind {kind!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
 def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects matrices, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"matmul: inner dimensions disagree, {a.data.shape} @ {b.data.shape}")
+    """(..., m, k) @ (k, n), or (..., m, k) @ (..., k, n) over equal leading axes.
+
+    A 2-D `b` is shared by every matrix of the stack, so its gradient is one
+    GEMM over all rows of `a` flattened together.
+    """
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) < 2 or len(sb) < 2 or (len(sb) > 2 and sb[:-2] != sa[:-2]):
+        raise ShapeError(f"matmul expects matrices or equal stacks, got {sa} and {sb}")
+    if sa[-1] != sb[-2]:
+        raise ShapeError(f"matmul: inner dimensions disagree, {sa} @ {sb}")
     out = DiffTensor._node(a.data @ b.data, (a, b), None)
 
     def back():
-        a.accum_grad(out.grad @ b.data.T)
-        b.accum_grad(a.data.T @ out.grad)
+        g = out.grad
+        if a.requires_grad:
+            a.accum_grad(g @ np.swapaxes(b.data, -1, -2))
+        if not b.requires_grad:
+            return
+        if len(sb) == 2:
+            b.accum_grad(a.data.reshape(-1, sa[-1]).T @ g.reshape(-1, sb[-1]))
+        else:
+            b.accum_grad(np.swapaxes(a.data, -1, -2) @ g)
 
     out._backward = back
     return out
 
 
 def rowsoftmax(x: DiffTensor) -> DiffTensor:
-    """Softmax along the last axis of a matrix, max-subtracted for stability."""
-    if x.data.ndim != 2:
+    """Softmax along the last axis of a matrix or a stack of matrices,
+    max-subtracted for stability."""
+    if x.data.ndim < 2:
         raise ShapeError(f"rowsoftmax expects a matrix, got {x.data.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
     out = DiffTensor._node(s, (x,), None)
 
     def back():
         g = out.grad
-        x.accum_grad(s * (g - (g * s).sum(axis=1, keepdims=True)))
+        gx = g - (g * s).sum(axis=-1, keepdims=True)
+        gx *= s
+        x.accum_grad(gx)
 
     out._backward = back
     return out

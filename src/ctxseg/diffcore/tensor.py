@@ -25,26 +25,6 @@ def set_verify(enabled: bool) -> None:
     _DTYPE = np.float64 if enabled else np.float32
 
 
-def active_dtype():
-    return _DTYPE
-
-
-class verify_mode:
-    """Context manager form of `set_verify`, restoring the prior mode on exit."""
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-
-    def __enter__(self):
-        self.prev = _DTYPE == np.float64
-        set_verify(self.enabled)
-        return self
-
-    def __exit__(self, *exc):
-        set_verify(self.prev)
-        return False
-
-
 class DiffTensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_spent")
 
@@ -97,7 +77,10 @@ def backward(loss: DiffTensor) -> None:
     """Accumulate d(loss)/d(t) into `t.grad` for every requires_grad ancestor.
 
     Each interior node is visited exactly once; running backward a second time
-    through the same graph raises GraphError.
+    through the same graph raises GraphError. A node drops its closure and its
+    parent links once its closure has run: the closure refers back to the
+    node, and breaking that cycle lets reference counting free the graph
+    instead of the cyclic collector, which runs too rarely to bound memory.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -129,3 +112,5 @@ def backward(loss: DiffTensor) -> None:
         if t._backward is not None:
             t._backward()
             t._spent = True
+            t._backward = None
+            t._parents = ()

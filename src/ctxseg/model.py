@@ -137,6 +137,7 @@ def param_count(weights: dict) -> int:
 # forward passes
 
 def _double_conv(x, weights, prefix, train):
+    """Two (conv3x3 -> batchnorm -> relu) sublayers; spatial size preserved."""
     for j in (1, 2):
         x = dc.conv2d(x, weights[f"{prefix}.conv{j}.w"],
                       weights[f"{prefix}.conv{j}.b"], stride=1, padding=1)
@@ -148,22 +149,22 @@ def _double_conv(x, weights, prefix, train):
     return x
 
 
-def encoder_layer(x, weights, prefix, train=False):
-    """Two (conv3x3 -> batchnorm -> relu) sublayers; spatial size preserved."""
-    return _double_conv(x, weights, prefix, train)
+_MASK_NEG = -1e30  # additive pre-softmax mask; underflows to exactly 0 after exp
 
 
 def cross_attention(q_feat: DiffTensor, embs, params: CrossAttnParams,
                     attend_padding: bool = True, capture: dict | None = None
                     ) -> DiffTensor:
-    """Gate pixel features by attention over report tokens.
+    """Gate pixel features by attention over report tokens, batch at once.
 
-    For each batch item with features Q (c,h,w) and token matrix E (l,d_e):
-    the tokens are projected to K = V in R^{l x c}, every flattened pixel row
-    attends over them (scaled dot product, softmax across the l tokens), and
-    the value mix passes through tanh before multiplying Q elementwise. With
-    attend_padding off, positions past valid_len are masked out pre-softmax
-    (position 0 always stays attendable so all-pad reports remain defined).
+    Features Q (n,c,h,w) are flattened to pixel rows (n, h*w, c); each item's
+    token matrix E (l,d_e) is stacked to (n, l, d_e) and projected to
+    K = V in R^{n x l x c}. Every pixel row attends over its own item's tokens
+    (scaled dot product, softmax across the l tokens), and the value mix
+    passes through tanh before multiplying Q elementwise. With
+    attend_padding off, positions past each item's valid_len are masked out
+    pre-softmax (position 0 always stays attendable so all-pad reports remain
+    defined). `capture` receives item 0's input, tanh gate and output maps.
     """
     n, c, h, w = q_feat.data.shape
     if isinstance(embs, ReportEmbedding):
@@ -177,33 +178,25 @@ def cross_attention(q_feat: DiffTensor, embs, params: CrossAttnParams,
         raise ShapeError(
             f"text projection is {params.tproj_w.data.shape}, needs ({d_e}, {c})")
 
-    inv_sqrt_c = 1.0 / math.sqrt(c)
-    items = []
-    for i in range(n):
-        q = dc.batch_item(q_feat, i)                      # (c, h, w)
-        qbar = dc.transpose2(dc.reshape(q, (c, h * w)))   # (h*w, c)
-        e = DiffTensor(embs[i].matrix)                    # frozen: no grad path
-        k = dc.add_rowvec(dc.matmul(e, params.tproj_w), params.tproj_b)
-        qp = dc.add_rowvec(dc.matmul(qbar, params.wq_w), params.wq_b)
-        kp = dc.add_rowvec(dc.matmul(k, params.wk_w), params.wk_b)
-        vp = dc.add_rowvec(dc.matmul(k, params.wv_w), params.wv_b)
-        logits = dc.scale(dc.matmul(qp, dc.transpose2(kp)), inv_sqrt_c)
-        if not attend_padding:
-            valid = max(embs[i].valid_len, 1)
-            if valid < l:
-                row = np.zeros((1, l), dtype=logits.data.dtype)
-                row[0, valid:] = -1e30
-                logits = dc.add_const(logits, row)
-        dc.check_finite(logits, "cross-attention logits")
-        attn = dc.matmul(dc.rowsoftmax(logits), vp)       # (h*w, c)
-        gate = dc.tanh(attn)
-        gated = dc.mul(gate, qbar)
-        items.append(dc.reshape(dc.transpose2(gated), (c, h, w)))
-        if capture is not None and i == 0:
-            capture["q"] = q.data.copy()
-            capture["tanh_a"] = gate.data.T.reshape(c, h, w).copy()
-            capture["qstar"] = items[-1].data.copy()
-    return dc.stack_batch(items)
+    qbar = dc.transpose2(dc.reshape(q_feat, (n, c, h * w)))     # (n, h*w, c)
+    e = DiffTensor(np.stack([emb.matrix for emb in embs]))      # frozen: no grad path
+    k = dc.add_rowvec(dc.matmul(e, params.tproj_w), params.tproj_b)
+    qp = dc.add_rowvec(dc.matmul(qbar, params.wq_w), params.wq_b)
+    kp = dc.add_rowvec(dc.matmul(k, params.wk_w), params.wk_b)
+    vp = dc.add_rowvec(dc.matmul(k, params.wv_w), params.wv_b)
+    logits = dc.scale(dc.matmul(qp, dc.transpose2(kp)), 1.0 / math.sqrt(c))
+    if not attend_padding:
+        valid = np.maximum([emb.valid_len for emb in embs], 1)
+        mask = np.where(np.arange(l) < valid[:, None], 0.0, _MASK_NEG)
+        logits = dc.add_const(logits, mask[:, None, :])        # (n, 1, l)
+    dc.check_finite(logits, "cross-attention logits")
+    gate = dc.tanh(dc.matmul(dc.rowsoftmax(logits), vp))        # (n, h*w, c)
+    out = dc.reshape(dc.transpose2(dc.mul(gate, qbar)), (n, c, h, w))
+    if capture is not None:
+        capture["q"] = q_feat.data[0].copy()
+        capture["tanh_a"] = gate.data[0].T.reshape(c, h, w).copy()
+        capture["qstar"] = out.data[0].copy()
+    return out
 
 
 def _prepare_image(image, cfg: ModelConfig) -> DiffTensor:

@@ -4,28 +4,22 @@ A report string becomes a fixed-length matrix of per-token vectors that the
 decoder's cross-attention consumes as keys and values. The embedder is a
 frozen deterministic stand-in for a pretrained language encoder: each token id
 maps to a unit-norm vector drawn from a counter-based generator keyed by
-(seed, id), so embeddings never train and never change between runs. A binary
-file format lets externally computed embeddings honor the same contract.
+(seed, id), so embeddings never train and never change between runs.
 """
 
 from __future__ import annotations
 
 import string
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataFormatError
 from .util import fnv1a_str
 
 PAD_ID = 0
 VOCAB_MODULUS = 2 ** 20
 _PUNCT = set(string.punctuation)
-
-EMB_MAGIC = b"CTXE"
-EMB_VERSION = 1
 
 
 @dataclass
@@ -40,7 +34,6 @@ class Report:
 class ReportEmbedding:
     matrix: np.ndarray          # (max_tokens, d_e) float32, rows unit-norm
     valid_len: int
-    frozen: bool = field(default=True)
 
 
 def _split_punct(word: str):
@@ -99,63 +92,3 @@ def embed(report: Report, d_e: int, seed: int) -> ReportEmbedding:
         raise ValueError(f"d_e must be >= 1, got {d_e}")
     mat = np.stack([_row(seed, tid, d_e) for tid in report.ids])
     return ReportEmbedding(matrix=mat, valid_len=report.valid_len)
-
-
-def write_embeddings(path, records: dict) -> None:
-    """Serialize {sample_id: ReportEmbedding}; all records share one (l, d_e)."""
-    with open(path, "wb") as f:
-        f.write(EMB_MAGIC)
-        f.write(struct.pack("<II", EMB_VERSION, len(records)))
-        for sid, emb in records.items():
-            sid_b = sid.encode("utf-8")
-            l, d_e = emb.matrix.shape
-            f.write(struct.pack("<I", len(sid_b)))
-            f.write(sid_b)
-            f.write(struct.pack("<II", l, d_e))
-            f.write(np.ascontiguousarray(emb.matrix, dtype="<f4").tobytes())
-
-
-def load_embeddings(path) -> dict:
-    """Parse an embedding file into {sample_id: ReportEmbedding}.
-
-    Loaded matrices carry valid_len = l; externally computed embeddings decide
-    padding semantics upstream. Dimension disagreements between records raise
-    DataFormatError naming the file offset.
-    """
-    with open(path, "rb") as f:
-        blob = f.read()
-    off = 0
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(blob):
-            raise DataFormatError(
-                f"embedding file truncated at offset {off} reading {what}")
-        piece = blob[off:off + n]
-        off += n
-        return piece
-
-    if take(4, "magic") != EMB_MAGIC:
-        raise DataFormatError(f"bad embedding magic at offset 0 in {path}")
-    version, count = struct.unpack("<II", take(8, "header"))
-    if version != EMB_VERSION:
-        raise DataFormatError(f"unsupported embedding version {version}")
-    out = {}
-    dims = None
-    for _ in range(count):
-        (slen,) = struct.unpack("<I", take(4, "id length"))
-        sid = take(slen, "sample id").decode("utf-8")
-        rec_off = off
-        l, d_e = struct.unpack("<II", take(8, "record dims"))
-        if dims is None:
-            dims = (l, d_e)
-        elif dims != (l, d_e):
-            raise DataFormatError(
-                f"record {sid!r} at offset {rec_off} has dims {(l, d_e)}, "
-                f"expected {dims}")
-        mat = np.frombuffer(take(4 * l * d_e, f"payload of {sid!r}"),
-                            dtype="<f4").reshape(l, d_e).copy()
-        out[sid] = ReportEmbedding(matrix=mat, valid_len=l)
-    if off != len(blob):
-        raise DataFormatError(f"{len(blob) - off} trailing bytes after last record")
-    return out

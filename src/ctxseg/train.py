@@ -99,16 +99,20 @@ def _embed_report(text: str, mc: ModelConfig):
     return embed(tokenize(text, mc.max_tokens), mc.d_e, mc.embed_seed)
 
 
-def _forward_batch(weights, images, reports, cfg: TrainConfig, train: bool):
+def _forward_batch(weights, images, reports, cfg: TrainConfig, train: bool,
+                   capture: dict | None = None):
     """Logits for (H, W) images and their reports under cfg's ablation arm:
-    `baseline_unet` has no text path and `no_text` reads every report as ""."""
+    `baseline_unet` has no text path and `no_text` reads every report as "".
+    `capture` collects the attention maps of text_gated_forward, so it is
+    only filled on the arms that have cross-attention."""
     imgs = np.stack(images)[:, None, :, :]
     if cfg.ablation == "baseline_unet":
         return unet_forward(imgs, weights, cfg.model, train=train)
     if cfg.ablation == "no_text":
         reports = [""] * len(reports)
     embs = [_embed_report(r, cfg.model) for r in reports]
-    return text_gated_forward(imgs, embs, weights, cfg.model, train=train)
+    return text_gated_forward(imgs, embs, weights, cfg.model, train=train,
+                              capture=capture)
 
 
 def _as_weights(src, mc: ModelConfig, ablation: str) -> dict:
@@ -401,8 +405,13 @@ def attention_dump(checkpoint, sample: Sample, out_dir, cfg: TrainConfig,
     For the original report and the word-swapped one, dumps the attention
     input feature map, the tanh-activated attention map, and the gated
     feature map at one fixed channel per decoder level, min-max normalized
-    with raw ranges recorded in scales.txt.
+    with raw ranges recorded in scales.txt. A `no_text` model reads both
+    variants as the empty report; `baseline_unet` has no gate to dump and
+    raises ValueError before the checkpoint is read.
     """
+    if cfg.ablation == "baseline_unet":
+        raise ValueError("attention_dump: the baseline_unet arm has no "
+                         "cross-attention to dump")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     weights = _as_weights(checkpoint, cfg.model, cfg.ablation)
@@ -414,8 +423,8 @@ def attention_dump(checkpoint, sample: Sample, out_dir, cfg: TrainConfig,
     scales = []
     for variant, text in reports.items():
         capture: dict = {}
-        text_gated_forward(sample.image[None, None], _embed_report(text, cfg.model),
-                           weights, cfg.model, train=False, capture=capture)
+        _forward_batch(weights, [sample.image], [text], cfg, train=False,
+                       capture=capture)
         for level in sorted(capture):
             maps = capture[level]
             for kind, key in (("q", "q"), ("tanha", "tanh_a"), ("qstar", "qstar")):

@@ -103,3 +103,32 @@ def dice_counters(a, b):
     if both == 0:
         return 1.0
     return 2.0 * inter / both
+
+
+def cross_attention_direct(q, token_mats, valid_lens, p, attend_padding=True):
+    """The text gate, one item and one pixel at a time, in float64.
+
+    q is (n, c, h, w); token_mats holds one (l, d_e) matrix per item; p maps
+    tproj_w, tproj_b, wq_w, wq_b, wk_w, wk_b, wv_w, wv_b to arrays. A pixel
+    attends over every token, or with attend_padding off over the first
+    max(valid_len, 1) tokens only.
+    """
+    n, c, h, w = q.shape
+    out = np.zeros((n, c, h, w), dtype=np.float64)
+    for i in range(n):
+        tokens = np.asarray(token_mats[i], dtype=np.float64)
+        proj = tokens @ p["tproj_w"] + p["tproj_b"]
+        keys = proj @ p["wk_w"] + p["wk_b"]
+        values = proj @ p["wv_w"] + p["wv_b"]
+        count = tokens.shape[0] if attend_padding else max(valid_lens[i], 1)
+        for y in range(h):
+            for x in range(w):
+                pixel = q[i, :, y, x].astype(np.float64)
+                query = pixel @ p["wq_w"] + p["wq_b"]
+                scores = [query @ keys[t] / np.sqrt(c) for t in range(count)]
+                top = max(scores)
+                weights = [np.exp(s - top) for s in scores]
+                total = sum(weights)
+                mix = sum(weights[t] / total * values[t] for t in range(count))
+                out[i, :, y, x] = np.tanh(mix) * pixel
+    return out

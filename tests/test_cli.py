@@ -2,27 +2,60 @@
 
 from ctxseg.cli import run
 from ctxseg.data import (GeneratorConfig, encode_image, generate_dataset,
-                         read_pgm, write_pgm)
+                         read_pgm, write_dataset, write_pgm)
 from ctxseg.diffcore import save_checkpoint
 from ctxseg.model import ModelConfig, init_weights
 
 SMALL_MODEL = ["model.image_size=32", "model.depth=2", "model.channels=[4,8]",
                "model.bottleneck=16", "model.d_e=8", "model.max_tokens=16"]
+SMALL_MC = ModelConfig(image_size=32, depth=2, channels=[4, 8], bottleneck=16,
+                       d_e=8, max_tokens=16)
+
+
+def _with_small_model(argv):
+    for ov in SMALL_MODEL:
+        argv += ["--override", ov]
+    return argv
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_predict_on_baseline_checkpoint(tmp_path):
-    mc = ModelConfig(image_size=32, depth=2, channels=[4, 8], bottleneck=16,
-                     d_e=8, max_tokens=16)
     ckpt = tmp_path / "baseline.ctxn"
-    save_checkpoint(ckpt, init_weights(mc, with_attention=False))
+    save_checkpoint(ckpt, init_weights(SMALL_MC, with_attention=False))
     sample = generate_dataset(GeneratorConfig(n=1, image_size=32), base_seed=5)[0]
     write_pgm(tmp_path / "image.pgm", encode_image(sample.image), 65535)
     argv = ["predict", "--checkpoint", str(ckpt),
             "--image", str(tmp_path / "image.pgm"), "--report", sample.report,
             "--mask-out", str(tmp_path / "mask.pgm"),
             "--override", "train.ablation=baseline_unet"]
-    for ov in SMALL_MODEL:
-        argv += ["--override", ov]
-    assert run(argv) == 0
+    assert run(_with_small_model(argv)) == 0
     mask, maxval = read_pgm(tmp_path / "mask.pgm")
     assert maxval == 255 and mask.shape == (32, 32)
+
+
+def test_probe_with_absent_swap_word_exits_1(tmp_path, capsys):
+    data = tmp_path / "data"
+    write_dataset(generate_dataset(GeneratorConfig(n=2, image_size=32), base_seed=5),
+                  data)
+    ckpt = tmp_path / "full.ctxn"
+    save_checkpoint(ckpt, init_weights(SMALL_MC))
+    argv = ["probe", "--checkpoint", str(ckpt), "--data", str(data),
+            "--swap", "zzz:yyy"]
+    assert run(_with_small_model(argv)) == 1
+    _assert_one_error_line(capsys)
+
+
+def test_viz_on_baseline_checkpoint_exits_1(tmp_path, capsys):
+    data = tmp_path / "data"
+    write_dataset(generate_dataset(GeneratorConfig(n=1, image_size=32), base_seed=5),
+                  data)
+    ckpt = tmp_path / "baseline.ctxn"
+    save_checkpoint(ckpt, init_weights(SMALL_MC, with_attention=False))
+    argv = ["viz", "--checkpoint", str(ckpt), "--data", str(data),
+            "--out", str(tmp_path / "viz"), "--override", "train.ablation=baseline_unet"]
+    assert run(_with_small_model(argv)) == 1
+    _assert_one_error_line(capsys)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ctxseg.data import (GeneratorConfig, Sample, SampleAttrs, SplitSpec,
                          centroid_side, decode_image, dice, encode_image,
-                         generate_dataset, generate_sample, mc_split,
+                         generate_dataset, generate_sample,
                          read_dataset, read_pgm, report_consistent,
                          split_indices, write_dataset, write_pgm)
 from ctxseg.errors import DataFormatError, ShapeError
@@ -204,7 +204,8 @@ class TestSplits:
 
     def test_partition_properties(self):
         spec = SplitSpec(fold_seeds=[1, 2, 3, 4, 5])
-        for tr, va, te in mc_split(83, spec):
+        for fold_seed in spec.fold_seeds:
+            tr, va, te = split_indices(83, spec.fractions, fold_seed)
             all_idx = sorted(tr + va + te)
             assert all_idx == list(range(83))
             assert not (set(tr) & set(va)) and not (set(tr) & set(te))
@@ -212,13 +213,10 @@ class TestSplits:
 
     def test_folds_differ(self):
         spec = SplitSpec(fold_seeds=[1, 2])
-        (a, _, _), (b, _, _) = mc_split(40, spec)
+        (a, _, _), (b, _, _) = (split_indices(40, spec.fractions, fs)
+                                for fs in spec.fold_seeds)
         assert a != b
 
     def test_invalid_fractions(self):
         with pytest.raises(ValueError, match="fractions"):
             split_indices(20, (0.5, 0.2, 0.2), 0)
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError, match="at least 10"):
-            mc_split(9, SplitSpec())

@@ -276,28 +276,18 @@ class TestBatchnorm2d:
 class TestElementwise:
     def test_relu_values(self):
         x = DiffTensor(np.array([-1.0, 2.0]))
-        np.testing.assert_array_equal(dc.elementwise(x, "relu").data, [0.0, 2.0])
+        np.testing.assert_array_equal(dc.relu(x).data, [0.0, 2.0])
 
     def test_tanh_bounded(self, rng):
         x = DiffTensor(rng.standard_normal(100) * 50)
-        y = dc.elementwise(x, "tanh").data
-        assert y[0] == 0 if x.data[0] == 0 else True
-        assert np.all(np.abs(y) <= 1.0)
+        assert np.all(np.abs(dc.tanh(x).data) <= 1.0)
         assert dc.tanh(DiffTensor(np.zeros(1))).data[0] == 0.0
 
-    def test_sigmoid_at_zero(self):
-        assert dc.elementwise(DiffTensor(np.zeros(1)), "sigmoid").data[0] == 0.5
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown"):
-            dc.elementwise(DiffTensor(np.zeros(1)), "gelu")
-
     def test_gradients(self, verify64, rng):
-        for kind in ("relu", "tanh", "sigmoid"):
+        for op in (dc.relu, dc.tanh):
             params = {"x": DiffTensor(rng.standard_normal(40) + 0.1,
                                       requires_grad=True)}
-            grad_check(lambda: proj_loss(dc.elementwise(params["x"], kind)),
-                       params, num_coords=40)
+            grad_check(lambda: proj_loss(op(params["x"])), params, num_coords=40)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +325,77 @@ class TestMatmul:
         want = np.broadcast_to(b_const.sum(axis=1), (3, 4))
         np.testing.assert_allclose(a.grad, want, rtol=1e-9)
 
+    # Stacks of matrices: a shared 2-D right operand (a projection weight)
+    # and a per-item one (the attention logits and mix).
+    STACKS = [pytest.param((6, 5), id="shared-b"),
+              pytest.param((3, 6, 5), id="stacked-b")]
+
+    @pytest.mark.parametrize("b_shape", STACKS)
+    def test_stack_matches_loop_oracle_per_item(self, rng, b_shape):
+        a = rng.standard_normal((3, 4, 6)).astype(np.float32)
+        b = rng.standard_normal(b_shape).astype(np.float32)
+        got = dc.matmul(DiffTensor(a), DiffTensor(b)).data
+        assert got.shape == (3, 4, 5)
+        for i in range(3):
+            want = matmul_loops(a[i], b if b.ndim == 2 else b[i])
+            np.testing.assert_allclose(got[i], want, atol=1e-6, rtol=1e-5)
+
+    @pytest.mark.parametrize("b_shape", STACKS)
+    def test_stack_gradients(self, verify64, rng, b_shape):
+        params = {"a": DiffTensor(rng.standard_normal((3, 4, 6)), requires_grad=True),
+                  "b": DiffTensor(rng.standard_normal(b_shape), requires_grad=True)}
+        grad_check(lambda: proj_loss(dc.matmul(params["a"], params["b"])), params,
+                   num_coords=80)
+
+    def test_stack_shape_errors(self):
+        def z(*shape):
+            return DiffTensor(np.zeros(shape))
+
+        with pytest.raises(ShapeError, match="inner dimensions"):
+            dc.matmul(z(3, 2, 3), z(4, 2))
+        with pytest.raises(ShapeError, match="inner dimensions"):
+            dc.matmul(z(3, 2, 3), z(3, 4, 2))
+        with pytest.raises(ShapeError, match="equal stacks"):
+            dc.matmul(z(3, 2, 3), z(2, 3, 2))
+        with pytest.raises(ShapeError, match="equal stacks"):
+            dc.matmul(z(2, 3), z(2, 3, 2))
+        with pytest.raises(ShapeError, match="equal stacks"):
+            dc.matmul(z(2, 3), z(3))
+
+    # transpose2 and add_rowvec, the other two ops of an attention projection
+
+    def test_transpose2_swaps_last_two_axes(self, verify64, rng):
+        x = rng.standard_normal((3, 2, 5))
+        got = dc.transpose2(DiffTensor(x)).data
+        assert got.shape == (3, 5, 2)
+        for i in range(3):
+            np.testing.assert_array_equal(got[i], x[i].T)
+        params = {"x": DiffTensor(x, requires_grad=True)}
+        grad_check(lambda: proj_loss(dc.transpose2(params["x"])), params,
+                   num_coords=30)
+
+    def test_transpose2_rejects_vector(self):
+        with pytest.raises(ShapeError, match="matrix"):
+            dc.transpose2(DiffTensor(np.zeros(4)))
+
+    def test_add_rowvec_stack(self, verify64, rng):
+        a = rng.standard_normal((3, 4, 5))
+        b = rng.standard_normal(5)
+        got = dc.add_rowvec(DiffTensor(a), DiffTensor(b)).data
+        for i in range(3):
+            for r in range(4):
+                np.testing.assert_array_equal(got[i, r], a[i, r] + b)
+        params = {"a": DiffTensor(a, requires_grad=True),
+                  "b": DiffTensor(b, requires_grad=True)}
+        grad_check(lambda: proj_loss(dc.add_rowvec(params["a"], params["b"])),
+                   params, num_coords=65)
+
+    def test_add_rowvec_shape_errors(self):
+        with pytest.raises(ShapeError, match="add_rowvec"):
+            dc.add_rowvec(DiffTensor(np.zeros((3, 4, 5))), DiffTensor(np.zeros(4)))
+        with pytest.raises(ShapeError, match="add_rowvec"):
+            dc.add_rowvec(DiffTensor(np.zeros(5)), DiffTensor(np.zeros(5)))
+
 
 class TestRowsoftmax:
     def test_uniform(self):
@@ -364,6 +425,19 @@ class TestRowsoftmax:
         params = {"x": DiffTensor(rng.standard_normal((3, 5)), requires_grad=True)}
         grad_check(lambda: proj_loss(dc.rowsoftmax(params["x"])), params,
                    num_coords=15)
+
+    def test_stack_matches_direct_per_matrix(self, verify64, rng):
+        x = rng.standard_normal((3, 4, 6)) * 5
+        got = dc.rowsoftmax(DiffTensor(x)).data
+        for i in range(3):
+            np.testing.assert_allclose(got[i], rowsoftmax_direct(x[i]), atol=1e-12)
+        params = {"x": DiffTensor(x, requires_grad=True)}
+        grad_check(lambda: proj_loss(dc.rowsoftmax(params["x"])), params,
+                   num_coords=72)
+
+    def test_rejects_vector(self):
+        with pytest.raises(ShapeError, match="matrix"):
+            dc.rowsoftmax(DiffTensor(np.zeros(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +538,16 @@ class TestBackward:
         backward(y)
         with pytest.raises(GraphError):
             backward(y)
+
+    def test_graph_released_after_backward(self):
+        # no closure keeps its node alive, so the graph needs no cyclic collection
+        x = DiffTensor(np.array(2.0), requires_grad=True)
+        y = dc.mul(x, x)
+        loss = dc.add(y, x)
+        backward(loss)
+        for t in (y, loss):
+            assert t._backward is None and t._parents == ()
+        assert float(x.grad) == 5.0
 
     def test_non_scalar_loss_rejected(self):
         x = DiffTensor(np.ones(3), requires_grad=True)

@@ -6,10 +6,12 @@ import pytest
 import ctxseg.diffcore as dc
 from ctxseg.diffcore import DiffTensor, backward
 from ctxseg.errors import ShapeError
-from ctxseg.model import (CrossAttnParams, ModelConfig, cross_attention,
-                          encoder_layer, init_weights, param_count,
+from ctxseg.model import (CrossAttnParams, ModelConfig, _double_conv,
+                          cross_attention, init_weights, param_count,
                           predict_mask, text_gated_forward, unet_forward)
 from ctxseg.textenc import embed, tokenize
+
+from oracles import cross_attention_direct
 
 
 def tiny_config(**kwargs):
@@ -72,7 +74,7 @@ class TestEncoderLayer:
         cfg = tiny_config()
         w = init_weights(cfg)
         x = DiffTensor(rng.standard_normal((2, 1, 16, 16)))
-        y = encoder_layer(x, w, "enc1", train=True)
+        y = _double_conv(x, w, "enc1", train=True)
         assert y.data.shape == (2, 4, 16, 16)
         assert np.all(y.data >= 0)
 
@@ -80,7 +82,7 @@ class TestEncoderLayer:
         cfg = tiny_config()
         w = init_weights(cfg)
         x_arr = rng.standard_normal((2, 1, 16, 16)).astype(np.float32)
-        got = encoder_layer(DiffTensor(x_arr), w, "enc1", train=False).data
+        got = _double_conv(DiffTensor(x_arr), w, "enc1", train=False).data
 
         # independent composition, calling the diffcore primitives directly
         t = DiffTensor(x_arr)
@@ -165,6 +167,69 @@ class TestCrossAttention:
         out = cross_attention(q, make_emb(), CrossAttnParams.from_weights(w, 1))
         backward(dc.mean_all(out))
         assert q.grad is not None
+
+
+    # three reports of different lengths: 3 tokens, 7 tokens and none
+    BATCH_REPORTS = ("left pneumothorax.", "large right basal pneumothorax is seen.", "")
+
+    @pytest.mark.parametrize("attend_padding", [True, False])
+    def test_batch_matches_per_item_oracle(self, verify64, rng, attend_padding):
+        cfg = tiny_config()
+        params = CrossAttnParams.from_weights(init_weights(cfg), 1)
+        for t in vars(params).values():     # nonzero biases too
+            t.data[:] = 0.5 * rng.standard_normal(t.data.shape)
+        embs = [make_emb(text, cfg) for text in self.BATCH_REPORTS]
+        assert [e.valid_len for e in embs] == [3, 7, 0]
+        q = rng.standard_normal((3, 4, 6, 5))
+        got = cross_attention(DiffTensor(q), embs, params, attend_padding).data
+        want = cross_attention_direct(
+            q, [e.matrix for e in embs], [e.valid_len for e in embs],
+            {k: t.data for k, t in vars(params).items()}, attend_padding)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("attend_padding", [True, False])
+    def test_other_items_report_leaves_item_bitwise_unchanged(self, rng,
+                                                              attend_padding):
+        cfg = tiny_config()
+        params = CrossAttnParams.from_weights(init_weights(cfg), 1)
+        embs = [make_emb(text, cfg) for text in self.BATCH_REPORTS]
+        q = DiffTensor(rng.standard_normal((3, 4, 8, 8)))
+        base = cross_attention(q, embs, params, attend_padding).data
+        for j in range(3):
+            changed = list(embs)
+            changed[j] = make_emb("small left apical pneumothorax.", cfg)
+            got = cross_attention(q, changed, params, attend_padding).data
+            assert not np.array_equal(got[j], base[j])
+            for i in set(range(3)) - {j}:
+                np.testing.assert_array_equal(got[i], base[i])
+
+    def test_masked_batch_gradients(self, verify64, rng):
+        cfg = tiny_config()
+        embs = [make_emb(text, cfg) for text in self.BATCH_REPORTS[:2]]
+        names = ("tproj_w", "tproj_b", "wq_w", "wq_b", "wk_w", "wk_b",
+                 "wv_w", "wv_b")
+        shapes = ((cfg.d_e, 4), (4,), (4, 4), (4,), (4, 4), (4,), (4, 4), (4,))
+        tensors = {k: DiffTensor(0.5 * rng.standard_normal(shape), requires_grad=True)
+                   for k, shape in zip(names, shapes)}
+        tensors["q_feat"] = DiffTensor(rng.standard_normal((2, 4, 3, 3)),
+                                       requires_grad=True)
+        params = CrossAttnParams(*(tensors[k] for k in names))
+        r = DiffTensor(rng.standard_normal((2, 4, 3, 3)))
+
+        def loss():
+            out = cross_attention(tensors["q_feat"], embs, params,
+                                  attend_padding=False)
+            return dc.sum_all(dc.mul(out, r))
+
+        report = dc.finite_diff_check(loss, tensors, eps=1e-5, num_coords=1000)
+        assert {c.param for c in report.checks} == set(tensors)
+        for c in report.checks:
+            if c.param == "wk_b":
+                # adds one constant to every logit of a row: softmax ignores
+                # it, so the true gradient is 0 and only an absolute bound fits
+                assert abs(c.analytic) < 1e-12 and abs(c.numeric) < 1e-9, c
+            else:
+                assert c.rel_err < 1e-6, c
 
 
 class TestForwardPasses:

@@ -1,17 +1,10 @@
-"""Tokenizer determinism, frozen embedding contract, embedding file IO."""
-
-import struct
+"""Tokenizer determinism and the frozen embedding contract."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxseg import textenc
-from ctxseg.errors import DataFormatError
-from ctxseg.textenc import (PAD_ID, VOCAB_MODULUS, ReportEmbedding, embed,
-                            load_embeddings, token_id, tokenize,
-                            write_embeddings)
+from ctxseg.textenc import PAD_ID, VOCAB_MODULUS, embed, token_id, tokenize
 
 
 class TestTokenize:
@@ -78,10 +71,6 @@ class TestEmbed:
         for row in emb.matrix[2:]:
             np.testing.assert_array_equal(row, emb.matrix[1])
 
-    def test_frozen_flag(self):
-        emb = embed(tokenize("x", max_tokens=2), d_e=4, seed=0)
-        assert emb.frozen
-
     def test_collision_rate_small_vocabulary(self):
         # per-pair collision probability below 1e-4 for a 1000-word vocabulary
         from collections import Counter
@@ -98,49 +87,3 @@ class TestEmbed:
         for t in FINDING_TEMPLATES + DISTRACTOR_SENTENCES + NEGATIVE_SENTENCES:
             vocab |= set(re.findall(r"[a-z]+", t.lower()))
         assert len({token_id(w) for w in vocab}) == len(vocab)
-
-
-class TestEmbeddingFile:
-    def test_round_trip_bitwise(self, tmp_path, rng):
-        records = {
-            f"s{i:03d}": ReportEmbedding(
-                matrix=rng.standard_normal((8, 16)).astype(np.float32),
-                valid_len=8)
-            for i in range(5)
-        }
-        path = tmp_path / "emb.ctxe"
-        write_embeddings(path, records)
-        loaded = load_embeddings(path)
-        assert list(loaded) == list(records)
-        for k in records:
-            assert loaded[k].matrix.tobytes() == records[k].matrix.tobytes()
-
-    def test_hand_assembled_record(self, tmp_path):
-        payload = np.arange(32, dtype="<f4") / 8.0
-        blob = (textenc.EMB_MAGIC + struct.pack("<II", 1, 1)
-                + struct.pack("<I", 4) + b"abcd"
-                + struct.pack("<II", 4, 8) + payload.tobytes())
-        path = tmp_path / "one.ctxe"
-        path.write_bytes(blob)
-        loaded = load_embeddings(path)
-        np.testing.assert_array_equal(loaded["abcd"].matrix,
-                                      payload.reshape(4, 8))
-
-    def test_mismatched_dims_rejected_with_offset(self, tmp_path):
-        a = ReportEmbedding(np.zeros((4, 8), dtype=np.float32), 4)
-        b = ReportEmbedding(np.zeros((4, 6), dtype=np.float32), 4)
-        path = tmp_path / "bad.ctxe"
-        with open(path, "wb") as f:
-            f.write(textenc.EMB_MAGIC + struct.pack("<II", 1, 2))
-            for sid, emb in (("x", a), ("y", b)):
-                f.write(struct.pack("<I", 1) + sid.encode())
-                f.write(struct.pack("<II", *emb.matrix.shape))
-                f.write(emb.matrix.tobytes())
-        with pytest.raises(DataFormatError, match="offset"):
-            load_embeddings(path)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.ctxe"
-        path.write_bytes(b"XXXX" + b"\x00" * 8)
-        with pytest.raises(DataFormatError, match="magic"):
-            load_embeddings(path)

@@ -2,13 +2,14 @@
 
 import json
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctxseg.data import GeneratorConfig, SplitSpec, dice, generate_dataset
-from ctxseg.diffcore import load_checkpoint
-from ctxseg.model import ModelConfig, predict_mask
+from ctxseg.diffcore import load_checkpoint, save_checkpoint
+from ctxseg.model import ModelConfig, init_weights, predict_mask
 from ctxseg.train import (TrainConfig, ablate, attention_dump, cross_validate,
                           evaluate, swap_word, train, word_swap_probe)
 
@@ -214,3 +215,23 @@ class TestAttentionDump:
                 lo = float(line.split("min=")[1].split()[0])
                 hi = float(line.split("max=")[1])
                 assert -1.0 <= lo <= hi <= 1.0
+
+    def test_no_text_dumps_the_empty_report_for_both_variants(self, tiny_dataset,
+                                                              tmp_path):
+        cfg = tiny_train_config(ablation="no_text")
+        ckpt = tmp_path / "no_text.ctxn"
+        save_checkpoint(ckpt, init_weights(cfg.model))
+        sample = next(s for s in tiny_dataset if "left" in s.report)
+        files = attention_dump(str(ckpt), sample, tmp_path / "viz", cfg)
+        origs = sorted(f for f in files if f.endswith("_orig.pgm"))
+        assert len(origs) == 3 * cfg.model.depth
+        for orig in origs:
+            swap = orig.replace("_orig.pgm", "_swap.pgm")
+            assert Path(orig).read_bytes() == Path(swap).read_bytes()
+
+    def test_baseline_raises_before_reading_the_checkpoint(self, tiny_dataset,
+                                                           tmp_path):
+        cfg = tiny_train_config(ablation="baseline_unet")
+        with pytest.raises(ValueError, match="no cross-attention"):
+            attention_dump(tmp_path / "absent.ctxn", tiny_dataset[0],
+                           tmp_path / "viz", cfg)
