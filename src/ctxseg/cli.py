@@ -174,8 +174,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, help="override the top-level seed")
         p.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE", help="dotted config override")
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--threshold", type=float)
         return p
 
     p = common(sub.add_parser("gen-data", help="generate a synthetic dataset"))
@@ -191,6 +189,7 @@ def _build_parser() -> _Parser:
 
     p = common(sub.add_parser("ablate", help="run the ablation battery"))
     p.add_argument("--data", help="dataset directory")
+    p.add_argument("--jobs", type=int, default=1, help="arms run in parallel")
 
     p = common(sub.add_parser("probe", help="word-swap probe"),
                out_required=False)
@@ -240,8 +239,6 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg, _, data_dir, echo = load_config(args.config, args.override, args.seed)
-    if args.threshold is not None:
-        cfg.threshold = args.threshold
     samples, path = _load_samples(args, data_dir)
     echo["data"]["dir"] = path
     _write_echo(args.out, "train", echo)
@@ -254,7 +251,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     cfg, _, data_dir, echo = load_config(args.config, args.override, args.seed)
     samples, path = _load_samples(args, data_dir)
-    res = evaluate(args.checkpoint, samples, cfg, args.threshold)
+    res = evaluate(args.checkpoint, samples, cfg)
     print(f"dice mean={res.mean:.4f} sd={res.sd:.4f} n={len(res.scores)}")
     if args.out:
         echo["data"]["dir"] = path
@@ -282,7 +279,7 @@ def _cmd_probe(args) -> int:
     cfg, _, data_dir, echo = load_config(args.config, args.override, args.seed)
     samples, path = _load_samples(args, data_dir)
     swaps = _parse_swaps(args.swap) or [("left", "right"), ("large", "small")]
-    report = word_swap_probe(args.checkpoint, samples, swaps, cfg, args.threshold)
+    report = word_swap_probe(args.checkpoint, samples, swaps, cfg)
     for key, agg in report["swaps"].items():
         print(f"{key}: n={agg['samples']} flip_rate={agg['flip_rate_pct']:.1f}% "
               f"area_ratio={agg['mean_area_ratio_pct']:.1f}%")
@@ -319,8 +316,7 @@ def _cmd_predict(args) -> int:
     image = decode_image(raw)
     weights = _as_weights(args.checkpoint, cfg.model, cfg.ablation)
     logits = _forward_batch(weights, [image], [args.report], cfg, train=False)
-    thr = args.threshold if args.threshold is not None else cfg.threshold
-    mask = predict_mask(logits, thr)[0, 0]
+    mask = predict_mask(logits, cfg.threshold)[0, 0]
     if args.mask_out:
         write_pgm(args.mask_out, mask * np.uint8(255), 255)
     print(f"predicted {int(mask.sum())} positive pixels")

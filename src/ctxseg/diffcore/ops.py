@@ -21,50 +21,46 @@ from .tensor import DiffTensor
 def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: shapes {a.data.shape} vs {b.data.shape}")
-    out = DiffTensor._node(a.data + b.data, (a, b), None)
 
     def back():
         a.accum_grad(out.grad)
         b.accum_grad(out.grad)
 
-    out._backward = back
+    out = DiffTensor._node(a.data + b.data, (a, b), back)
     return out
 
 
 def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: shapes {a.data.shape} vs {b.data.shape}")
-    out = DiffTensor._node(a.data * b.data, (a, b), None)
 
     def back():
         a.accum_grad(out.grad * b.data)
         b.accum_grad(out.grad * a.data)
 
-    out._backward = back
+    out = DiffTensor._node(a.data * b.data, (a, b), back)
     return out
 
 
 def scale(a: DiffTensor, s: float) -> DiffTensor:
-    out = DiffTensor._node(a.data * s, (a,), None)
-
     def back():
         a.accum_grad(out.grad * s)
 
-    out._backward = back
+    out = DiffTensor._node(a.data * s, (a,), back)
     return out
 
 
 def add_const(a: DiffTensor, c) -> DiffTensor:
     """Add a non-differentiable constant (broadcastable against `a`)."""
-    out = DiffTensor._node(a.data + np.asarray(c, dtype=a.data.dtype), (a,), None)
-    if out.data.shape != a.data.shape:
+    y = a.data + np.asarray(c, dtype=a.data.dtype)
+    if y.shape != a.data.shape:
         raise ShapeError(f"add_const: constant {np.shape(c)} broadcasts {a.data.shape} "
-                         f"to {out.data.shape}")
+                         f"to {y.shape}")
 
     def back():
         a.accum_grad(out.grad)
 
-    out._backward = back
+    out = DiffTensor._node(y, (a,), back)
     return out
 
 
@@ -72,23 +68,20 @@ def add_rowvec(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     """a (..., m, n) + b (n,) broadcast over every row; both differentiable."""
     if a.data.ndim < 2 or b.data.shape != (a.data.shape[-1],):
         raise ShapeError(f"add_rowvec: {a.data.shape} vs {b.data.shape}")
-    out = DiffTensor._node(a.data + b.data, (a, b), None)
 
     def back():
         a.accum_grad(out.grad)
         b.accum_grad(out.grad.reshape(-1, b.data.size).sum(axis=0))
 
-    out._backward = back
+    out = DiffTensor._node(a.data + b.data, (a, b), back)
     return out
 
 
 def sum_all(a: DiffTensor) -> DiffTensor:
-    out = DiffTensor._node(a.data.sum(dtype=a.data.dtype).reshape(()), (a,), None)
-
     def back():
         a.accum_grad(np.broadcast_to(out.grad, a.data.shape))
 
-    out._backward = back
+    out = DiffTensor._node(a.data.sum(dtype=a.data.dtype).reshape(()), (a,), back)
     return out
 
 
@@ -100,12 +93,10 @@ def mean_all(a: DiffTensor) -> DiffTensor:
 # shape plumbing
 
 def reshape(a: DiffTensor, shape) -> DiffTensor:
-    out = DiffTensor._node(np.ascontiguousarray(a.data.reshape(shape)), (a,), None)
-
     def back():
         a.accum_grad(out.grad.reshape(a.data.shape))
 
-    out._backward = back
+    out = DiffTensor._node(np.ascontiguousarray(a.data.reshape(shape)), (a,), back)
     return out
 
 
@@ -114,12 +105,11 @@ def transpose2(a: DiffTensor) -> DiffTensor:
     if a.data.ndim < 2:
         raise ShapeError(f"transpose2 expects a matrix, got {a.data.shape}")
     swapped = np.ascontiguousarray(np.swapaxes(a.data, -1, -2))
-    out = DiffTensor._node(swapped, (a,), None)
 
     def back():
         a.accum_grad(np.swapaxes(out.grad, -1, -2))
 
-    out._backward = back
+    out = DiffTensor._node(swapped, (a,), back)
     return out
 
 
@@ -131,13 +121,12 @@ def concat_channels(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     if sa[0] != sb[0] or sa[2:] != sb[2:]:
         raise ShapeError(f"concat_channels: batch/spatial mismatch {sa} vs {sb}")
     ca = sa[1]
-    out = DiffTensor._node(np.concatenate([a.data, b.data], axis=1), (a, b), None)
 
     def back():
         a.accum_grad(out.grad[:, :ca])
         b.accum_grad(out.grad[:, ca:])
 
-    out._backward = back
+    out = DiffTensor._node(np.concatenate([a.data, b.data], axis=1), (a, b), back)
     return out
 
 
@@ -145,23 +134,20 @@ def concat_channels(a: DiffTensor, b: DiffTensor) -> DiffTensor:
 # activations
 
 def relu(x: DiffTensor) -> DiffTensor:
-    out = DiffTensor._node(np.maximum(x.data, 0), (x,), None)
-
     def back():
         x.accum_grad(out.grad * (x.data > 0))
 
-    out._backward = back
+    out = DiffTensor._node(np.maximum(x.data, 0), (x,), back)
     return out
 
 
 def tanh(x: DiffTensor) -> DiffTensor:
     y = np.tanh(x.data)
-    out = DiffTensor._node(y, (x,), None)
 
     def back():
         x.accum_grad(out.grad * (1.0 - y * y))
 
-    out._backward = back
+    out = DiffTensor._node(y, (x,), back)
     return out
 
 
@@ -189,7 +175,6 @@ def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
         raise ShapeError(f"matmul expects matrices or equal stacks, got {sa} and {sb}")
     if sa[-1] != sb[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree, {sa} @ {sb}")
-    out = DiffTensor._node(a.data @ b.data, (a, b), None)
 
     def back():
         g = out.grad
@@ -202,7 +187,7 @@ def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
         else:
             b.accum_grad(np.swapaxes(a.data, -1, -2) @ g)
 
-    out._backward = back
+    out = DiffTensor._node(a.data @ b.data, (a, b), back)
     return out
 
 
@@ -214,7 +199,6 @@ def rowsoftmax(x: DiffTensor) -> DiffTensor:
     s = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
-    out = DiffTensor._node(s, (x,), None)
 
     def back():
         g = out.grad
@@ -222,7 +206,7 @@ def rowsoftmax(x: DiffTensor) -> DiffTensor:
         gx *= s
         x.accum_grad(gx)
 
-    out._backward = back
+    out = DiffTensor._node(s, (x,), back)
     return out
 
 
@@ -288,7 +272,6 @@ def conv2d(x: DiffTensor, weight: DiffTensor, bias: DiffTensor,
     keep = (slice(None), slice(None),
             slice(0, stride * oh, stride), slice(0, stride * ow, stride))
     y = yd.reshape(n, cout, rows, wp)[keep] + bias.data[None, :, None, None]
-    out = DiffTensor._node(y, (x, weight, bias), None)
 
     def back():
         bias.accum_grad(out.grad.sum(axis=(0, 2, 3)))
@@ -307,7 +290,7 @@ def conv2d(x: DiffTensor, weight: DiffTensor, bias: DiffTensor,
             x.accum_grad(gxf.reshape(n, cin, hp, wp)[:, :, padding:padding + h,
                                                        padding:padding + w])
 
-    out._backward = back
+    out = DiffTensor._node(y, (x, weight, bias), back)
     return out
 
 
@@ -322,7 +305,6 @@ def maxpool2(x: DiffTensor) -> DiffTensor:
     win = win.reshape(n, c, h // 2, w // 2, 4)      # window in row-major order
     arg = win.argmax(axis=-1)                       # first max wins ties
     y = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
-    out = DiffTensor._node(np.ascontiguousarray(y), (x,), None)
 
     def back():
         gwin = np.zeros_like(win)
@@ -330,7 +312,7 @@ def maxpool2(x: DiffTensor) -> DiffTensor:
         gx = gwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
         x.accum_grad(gx.reshape(n, c, h, w))
 
-    out._backward = back
+    out = DiffTensor._node(np.ascontiguousarray(y), (x,), back)
     return out
 
 
@@ -357,7 +339,6 @@ def upconv2(x: DiffTensor, weight: DiffTensor, bias: DiffTensor) -> DiffTensor:
         for dj in range(2):
             t = np.tensordot(x.data, weight.data[:, :, di, dj], axes=([1], [0]))
             y[:, :, di::2, dj::2] = t.transpose(0, 3, 1, 2) + bias.data[None, :, None, None]
-    out = DiffTensor._node(y, (x, weight, bias), None)
 
     def back():
         gx = np.zeros_like(x.data) if x.requires_grad else None
@@ -376,7 +357,7 @@ def upconv2(x: DiffTensor, weight: DiffTensor, bias: DiffTensor) -> DiffTensor:
         if gx is not None:
             x.accum_grad(gx)
 
-    out._backward = back
+    out = DiffTensor._node(y, (x, weight, bias), back)
     return out
 
 
@@ -416,7 +397,6 @@ def batchnorm2d(x: DiffTensor, gamma: DiffTensor, beta: DiffTensor,
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mean[None, :, None, None]) * inv[None, :, None, None]
     y = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-    out = DiffTensor._node(y.astype(x.data.dtype, copy=False), (x, gamma, beta), None)
 
     def back():
         go = out.grad
@@ -432,7 +412,7 @@ def batchnorm2d(x: DiffTensor, gamma: DiffTensor, beta: DiffTensor,
         else:
             x.accum_grad(gi * go)
 
-    out._backward = back
+    out = DiffTensor._node(y.astype(x.data.dtype, copy=False), (x, gamma, beta), back)
     return out
 
 
@@ -452,12 +432,11 @@ def bce_with_logits(logits: DiffTensor, targets) -> DiffTensor:
     # max(z,0) - z*t + log(1+exp(-|z|)) == t*log(1+e^-z) + (1-t)*log(1+e^z)
     per_elem = np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z)))
     val = per_elem.mean(dtype=z.dtype).reshape(())
-    out = DiffTensor._node(val, (logits,), None)
 
     def back():
         logits.accum_grad(out.grad * (sigmoid_np(z) - t) / z.size)
 
-    out._backward = back
+    out = DiffTensor._node(val, (logits,), back)
     return out
 
 

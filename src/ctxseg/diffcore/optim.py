@@ -30,10 +30,6 @@ class AdamWState:
             raise ValueError("eps must be > 0 and weight_decay >= 0")
 
 
-def trainable(params: dict) -> dict:
-    return {k: p for k, p in params.items() if p.requires_grad}
-
-
 def adamw_step(params: dict, state: AdamWState) -> None:
     """One decoupled-weight-decay update over every trainable parameter.
 

@@ -1,11 +1,13 @@
 """Dense differentiable arrays with reverse-mode gradient propagation.
 
-A DiffTensor wraps a numpy array and, when produced by an operation in
-`ctxseg.diffcore.ops`, carries a closure that routes upstream gradients to its
-parents. `backward()` runs the closures once each in reverse topological
-order. Arithmetic is float32 by default; setting the environment variable
-CTXN_VERIFY=1 (or calling `set_verify(True)`) switches new tensors to float64
-for gradient verification.
+A DiffTensor wraps a numpy array. An operation in `ctxseg.diffcore.ops` hands
+its output's gradient closure to `DiffTensor._node`, which keeps the closure
+and the parent links only when some parent requires a gradient, so a forward
+pass over tensors that need none records no graph. `backward()` runs the
+closures once each in reverse topological order. Arithmetic is float32 by
+default; setting the environment variable CTXN_VERIFY=1 (or calling
+`set_verify(True)`) switches new tensors to float64 for gradient
+verification.
 """
 
 from __future__ import annotations
@@ -42,7 +44,10 @@ class DiffTensor:
     @classmethod
     def _node(cls, data, parents, backward) -> "DiffTensor":
         # Internal fast path for op outputs: data is already in the active
-        # dtype, so skip the cast and wire the graph directly.
+        # dtype, so skip the cast. The one place that decides whether a node
+        # records: with no parent requiring a gradient, the closure (which
+        # refers back to the node) is dropped, so reference counting frees
+        # the node once nothing else holds it.
         t = cls.__new__(cls)
         t.data = data
         t.grad = None

@@ -116,21 +116,28 @@ def _forward_batch(weights, images, reports, cfg: TrainConfig, train: bool,
 
 
 def _as_weights(src, mc: ModelConfig, ablation: str) -> dict:
-    """Accept live weights, a {name: array} dict, or a checkpoint path."""
+    """Inference weights from live weights, a {name: array} dict, or a
+    checkpoint path: tensors that share the source's arrays and require no
+    gradient, so a forward pass over them records no graph. Names and shapes
+    are checked against the model config's; DataFormatError names the first
+    mismatch."""
     if isinstance(src, (str, Path)):
         src = dc.load_checkpoint(src)
-    if all(isinstance(v, DiffTensor) for v in src.values()):
-        return src
-    expected = set(init_weights(mc, with_attention=ablation != "baseline_unet"))
-    got = set(src)
-    if expected != got:
-        missing = sorted(expected - got)[:3]
-        extra = sorted(got - expected)[:3]
+    arrays = {name: v.data if isinstance(v, DiffTensor) else v
+              for name, v in src.items()}
+    expected = init_weights(mc, with_attention=ablation != "baseline_unet")
+    if set(expected) != set(arrays):
+        missing = sorted(set(expected) - set(arrays))[:3]
+        extra = sorted(set(arrays) - set(expected))[:3]
         raise DataFormatError(
             f"checkpoint does not match model config (missing {missing}, "
             f"unexpected {extra})")
-    return {name: DiffTensor(arr, requires_grad=not name.endswith((".mean", ".var")))
-            for name, arr in src.items()}
+    for name, t in expected.items():
+        if np.shape(arrays[name]) != t.data.shape:
+            raise DataFormatError(
+                f"checkpoint tensor {name!r} has shape {np.shape(arrays[name])}, "
+                f"model config expects {t.data.shape}")
+    return {name: DiffTensor(arr) for name, arr in arrays.items()}
 
 
 def evaluate(checkpoint, samples, cfg: TrainConfig,

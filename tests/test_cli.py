@@ -1,6 +1,8 @@
 """Command-line entry points, run in-process through `run`."""
 
-from ctxseg.cli import run
+import pytest
+
+from ctxseg.cli import _build_parser, run
 from ctxseg.data import (GeneratorConfig, encode_image, generate_dataset,
                          read_pgm, write_dataset, write_pgm)
 from ctxseg.diffcore import save_checkpoint
@@ -21,6 +23,7 @@ def _with_small_model(argv):
 def _assert_one_error_line(capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
 
 
 def test_predict_on_baseline_checkpoint(tmp_path):
@@ -59,3 +62,33 @@ def test_viz_on_baseline_checkpoint_exits_1(tmp_path, capsys):
             "--out", str(tmp_path / "viz"), "--override", "train.ablation=baseline_unet"]
     assert run(_with_small_model(argv)) == 1
     _assert_one_error_line(capsys)
+
+
+def test_eval_with_mismatched_channels_exits_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    write_dataset(generate_dataset(GeneratorConfig(n=2, image_size=32), base_seed=5),
+                  data)
+    ckpt = tmp_path / "full.ctxn"
+    save_checkpoint(ckpt, init_weights(SMALL_MC))
+    argv = _with_small_model(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
+    argv += ["--override", "model.channels=[4,12]"]
+    assert run(argv) == 2
+    line = _assert_one_error_line(capsys)
+    assert "enc2.conv1.w" in line and "(12, 4, 3, 3)" in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--out", "data", "--jobs", "2"],
+    ["viz", "--checkpoint", "c.ctxn", "--out", "viz", "--jobs", "2"],
+    ["ablate", "--out", "out", "--threshold", "0.3"],
+])
+def test_flags_nothing_reads_are_rejected(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    line = _assert_one_error_line(capsys)
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in line
+
+
+def test_ablate_reads_jobs():
+    args = _build_parser().parse_args(["ablate", "--out", "out", "--jobs", "2"])
+    assert args.jobs == 2

@@ -555,6 +555,45 @@ class TestBackward:
             backward(dc.mul(x, x))
 
 
+def _const(*shape):
+    return DiffTensor(np.random.default_rng(0).standard_normal(shape))
+
+
+# Every op on inputs that all have requires_grad=False.
+CONSTANT_INPUT_OPS = {
+    "add": lambda: dc.add(_const(2, 3), _const(2, 3)),
+    "mul": lambda: dc.mul(_const(2, 3), _const(2, 3)),
+    "scale": lambda: dc.scale(_const(2, 3), 2.0),
+    "add_const": lambda: dc.add_const(_const(2, 3), 1.0),
+    "add_rowvec": lambda: dc.add_rowvec(_const(2, 3), _const(3)),
+    "sum_all": lambda: dc.sum_all(_const(2, 3)),
+    "mean_all": lambda: dc.mean_all(_const(2, 3)),
+    "reshape": lambda: dc.reshape(_const(2, 3), (3, 2)),
+    "transpose2": lambda: dc.transpose2(_const(2, 3)),
+    "concat_channels": lambda: dc.concat_channels(_const(1, 2, 2, 2),
+                                                  _const(1, 3, 2, 2)),
+    "relu": lambda: dc.relu(_const(2, 3)),
+    "tanh": lambda: dc.tanh(_const(2, 3)),
+    "matmul": lambda: dc.matmul(_const(2, 3), _const(3, 4)),
+    "rowsoftmax": lambda: dc.rowsoftmax(_const(2, 3)),
+    "conv2d": lambda: dc.conv2d(_const(1, 2, 4, 4), _const(3, 2, 3, 3), _const(3),
+                                padding=1),
+    "maxpool2": lambda: dc.maxpool2(_const(1, 2, 4, 4)),
+    "upconv2": lambda: dc.upconv2(_const(1, 2, 2, 2), _const(2, 3, 2, 2), _const(3)),
+    "batchnorm2d": lambda: dc.batchnorm2d(
+        _const(2, 3, 2, 2), DiffTensor(np.ones(3)), _const(3), _const(3),
+        DiffTensor(np.ones(3))),
+    "bce_with_logits": lambda: dc.bce_with_logits(_const(2, 3), np.ones((2, 3))),
+}
+
+
+@pytest.mark.parametrize("op", sorted(CONSTANT_INPUT_OPS))
+def test_op_on_constant_inputs_records_no_node(op):
+    out = CONSTANT_INPUT_OPS[op]()
+    assert not out.requires_grad
+    assert out._backward is None and out._parents == ()
+
+
 # ---------------------------------------------------------------------------
 # finite_diff_check itself
 

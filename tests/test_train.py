@@ -2,6 +2,7 @@
 
 import json
 import statistics
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 
 from ctxseg.data import GeneratorConfig, SplitSpec, dice, generate_dataset
 from ctxseg.diffcore import load_checkpoint, save_checkpoint
+from ctxseg.errors import DataFormatError
 from ctxseg.model import ModelConfig, init_weights, predict_mask
-from ctxseg.train import (TrainConfig, ablate, attention_dump, cross_validate,
-                          evaluate, swap_word, train, word_swap_probe)
+from ctxseg.train import (TrainConfig, _as_weights, _forward_batch, ablate,
+                          attention_dump, cross_validate, evaluate, swap_word,
+                          train, word_swap_probe)
 
 
 def tiny_train_config(**kwargs):
@@ -106,12 +109,43 @@ class TestEvaluate:
         assert r1.scores == r2.scores
 
     def test_size_mismatch_rejected(self, tiny_dataset, tmp_path):
-        from ctxseg.errors import DataFormatError
         cfg = tiny_train_config(epochs=1)
         rec = train(cfg, tiny_dataset, tmp_path)
         wrong = generate_dataset(GeneratorConfig(n=1, image_size=64), 0)
         with pytest.raises(DataFormatError, match="32x32"):
             evaluate(rec.checkpoint, wrong, cfg)
+
+    def test_checkpoint_shape_mismatch_rejected(self, tiny_dataset, tmp_path):
+        # same tensor names, wider second level: the first tensor that differs
+        # is named with both shapes
+        cfg = tiny_train_config()
+        ckpt = tmp_path / "narrow.ctxn"
+        save_checkpoint(ckpt, init_weights(cfg.model))
+        wide = tiny_train_config(model=replace(cfg.model, channels=[4, 12]))
+        with pytest.raises(DataFormatError,
+                           match=r"'enc2\.conv1\.w' has shape \(8, 4, 3, 3\), "
+                                 r"model config expects \(12, 4, 3, 3\)"):
+            evaluate(str(ckpt), tiny_dataset[:2], wide)
+
+
+class TestAsWeights:
+    def test_live_weights_give_a_forward_with_no_graph(self, tiny_dataset):
+        cfg = tiny_train_config()
+        live = init_weights(cfg.model)
+        for t in live.values():
+            if t.requires_grad:
+                t.grad = np.ones_like(t.data)
+        before = {name: (t.data, t.requires_grad, t.grad) for name, t in live.items()}
+        views = _as_weights(live, cfg.model, cfg.ablation)
+        chunk = tiny_dataset[:2]
+        logits = _forward_batch(views, [s.image for s in chunk],
+                                [s.report for s in chunk], cfg, train=False)
+        assert logits._backward is None and logits._parents == ()
+        assert not any(t.requires_grad for t in views.values())
+        for name, t in live.items():
+            data, requires_grad, grad = before[name]
+            assert views[name].data is data and t.data is data
+            assert t.requires_grad == requires_grad and t.grad is grad
 
 
 class TestCrossValidate:
