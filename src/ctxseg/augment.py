@@ -5,6 +5,11 @@ statements intact: photometric edits touch intensities only, and the warps
 are bounded so a mask never migrates across the midline. Horizontal flip is
 the deliberate exception; it mirrors pixels while leaving the report alone
 and exists only for the concordance-breaking ablation (p_hflip defaults 0).
+
+The magnitude bounds are module constants, not policy fields: a larger
+shift or rotation can carry a mask across the midline and contradict the
+report's side word. The 1000-seed concordance test in tests/test_augment.py
+checks them. AugmentPolicy chooses only which augmentations run.
 """
 
 from __future__ import annotations
@@ -21,6 +26,20 @@ from .util import mix64, rng_from
 
 _SALT_AUG = 0xA06
 _SALT_RETRY = 0xA5E7
+
+_PHOTOMETRIC_RANGES = {
+    "contrast": (0.8, 1.2),
+    "gamma": (0.8, 1.25),
+    "brightness": (-0.2, 0.2),
+}
+_ELASTIC_ALPHA = 2.5
+_ELASTIC_SIGMA = 6.0
+_GRID_CELLS = 4
+_GRID_JITTER = 0.15
+_OPTICAL_K_MAX = 0.15
+_SSR_SHIFT_MAX = 0.06
+_SSR_SCALE = (0.9, 1.1)
+_SSR_ROT_MAX = 10.0
 
 DEFAULT_LEXICON = {
     "pneumothorax": ["ptx"],
@@ -40,18 +59,6 @@ class AugmentPolicy:
     p_hflip: float = 0.0
     text_shuffle: bool = False
     text_synonym_p: float = 0.0
-    brightness_max: float = 0.2
-    contrast_range: tuple = (0.8, 1.2)
-    gamma_range: tuple = (0.8, 1.25)
-    elastic_alpha: float = 2.5
-    elastic_sigma: float = 6.0
-    grid_cells: int = 4
-    grid_jitter: float = 0.15
-    optical_k_max: float = 0.15
-    ssr_shift_max: float = 0.06
-    ssr_scale: tuple = (0.9, 1.1)
-    ssr_rot_max: float = 10.0
-    lexicon: dict | None = None
 
     def __post_init__(self):
         for name in ("p_photometric", "p_distort", "p_ssr", "p_hflip",
@@ -70,20 +77,17 @@ def hflip(sample: Sample) -> Sample:
 
 def photometric(image: np.ndarray, kind: str, magnitude: float) -> np.ndarray:
     """Intensity-only edit of an image in [0,1]; mask and report untouched."""
+    if kind not in _PHOTOMETRIC_RANGES:
+        raise ValueError(f"unknown photometric kind {kind!r}")
+    lo, hi = _PHOTOMETRIC_RANGES[kind]
+    if not lo <= magnitude <= hi:
+        raise ValueError(f"{kind} magnitude {magnitude} outside [{lo}, {hi}]")
     if kind == "brightness":
-        if not -0.2 <= magnitude <= 0.2:
-            raise ValueError(f"brightness delta {magnitude} outside [-0.2, 0.2]")
         return np.clip(image + np.float32(magnitude), 0.0, 1.0)
     if kind == "contrast":
-        if not 0.8 <= magnitude <= 1.2:
-            raise ValueError(f"contrast factor {magnitude} outside [0.8, 1.2]")
         mu = image.mean(dtype=np.float64)
         return np.clip(mu + magnitude * (image - mu), 0.0, 1.0).astype(np.float32)
-    if kind == "gamma":
-        if not 0.8 <= magnitude <= 1.25:
-            raise ValueError(f"gamma {magnitude} outside [0.8, 1.25]")
-        return np.power(image, np.float32(magnitude))
-    raise ValueError(f"unknown photometric kind {kind!r}")
+    return np.power(image, np.float32(magnitude))
 
 
 def _warp(sample: Sample, coords: np.ndarray, area_factor: float) -> Sample:
@@ -178,35 +182,32 @@ def _augment_once(sample: Sample, policy: AugmentPolicy, seed: int) -> Sample:
         out = hflip(out)
     if rng.random() < policy.p_photometric:
         kind = ("contrast", "gamma", "brightness")[int(rng.integers(3))]
-        if kind == "brightness":
-            mag = rng.uniform(-policy.brightness_max, policy.brightness_max)
-        elif kind == "contrast":
-            mag = rng.uniform(*policy.contrast_range)
-        else:
-            mag = rng.uniform(*policy.gamma_range)
+        mag = rng.uniform(*_PHOTOMETRIC_RANGES[kind])
         out = replace(out, image=photometric(out.image, kind, mag))
     if rng.random() < policy.p_distort:
         kind = ("elastic", "grid", "optical")[int(rng.integers(3))]
+        # all three entries are built, so the optical k is drawn whatever the
+        # kind; the RNG stream, and every augmented sample, depends on it
         params = {
-            "elastic": {"alpha": policy.elastic_alpha, "sigma": policy.elastic_sigma},
-            "grid": {"cells": policy.grid_cells, "jitter": policy.grid_jitter},
-            "optical": {"k": rng.uniform(-policy.optical_k_max, policy.optical_k_max)},
+            "elastic": {"alpha": _ELASTIC_ALPHA, "sigma": _ELASTIC_SIGMA},
+            "grid": {"cells": _GRID_CELLS, "jitter": _GRID_JITTER},
+            "optical": {"k": rng.uniform(-_OPTICAL_K_MAX, _OPTICAL_K_MAX)},
         }[kind]
         out = geometric_distort(out, kind, params, rng)
     if rng.random() < policy.p_ssr:
         params = {
-            "shift_x": rng.uniform(-policy.ssr_shift_max, policy.ssr_shift_max),
-            "shift_y": rng.uniform(-policy.ssr_shift_max, policy.ssr_shift_max),
-            "scale": rng.uniform(*policy.ssr_scale),
-            "rot": rng.uniform(-policy.ssr_rot_max, policy.ssr_rot_max),
+            "shift_x": rng.uniform(-_SSR_SHIFT_MAX, _SSR_SHIFT_MAX),
+            "shift_y": rng.uniform(-_SSR_SHIFT_MAX, _SSR_SHIFT_MAX),
+            "scale": rng.uniform(*_SSR_SCALE),
+            "rot": rng.uniform(-_SSR_ROT_MAX, _SSR_ROT_MAX),
         }
         out = geometric_distort(out, "ssr", params, rng)
     report = out.report
     if policy.text_shuffle:
         report = sentence_shuffle(report, rng)
     if policy.text_synonym_p > 0:
-        lex = policy.lexicon if policy.lexicon is not None else DEFAULT_LEXICON
-        report = synonym_replace(report, lex, policy.text_synonym_p, rng)
+        report = synonym_replace(report, DEFAULT_LEXICON, policy.text_synonym_p,
+                                 rng)
     return replace(out, report=report)
 
 

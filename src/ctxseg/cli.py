@@ -4,7 +4,8 @@ Subcommands: gen-data, train, eval, ablate, probe, viz, predict. Configs are
 one JSON document with sections train/model/augment/split/data plus a top
 level seed; an empty or missing file means all defaults. Dotted --override
 keys (repeatable) are applied last, and every artifact-producing run writes
-an invocation echo sufficient to reproduce it.
+an invocation echo sufficient to reproduce it. --override is the one way to
+set the seed and the sample count: `--override seed=3`, `--override data.n=16`.
 
 Exit codes: 0 success; 1 usage or config error, or any other invalid value
 (a ValueError, e.g. a swap word no report contains, or viz on an arm without
@@ -41,7 +42,7 @@ _SECTIONS = {
 }
 _TRAIN_SCALARS = ("lr", "epochs", "batch_size", "ablation", "threshold",
                   "beta1", "beta2", "eps", "weight_decay")
-_TUPLE_FIELDS = {"fractions", "contrast_range", "gamma_range", "ssr_scale"}
+_TUPLE_FIELDS = {"fractions"}
 
 
 class CliUsageError(Exception):
@@ -82,7 +83,7 @@ def _parse_override(text: str):
     return key.strip(), value
 
 
-def load_config(path, overrides=(), seed: int | None = None):
+def load_config(path, overrides=()):
     """Parse the config document, apply overrides, return the config bundle.
 
     Returns (TrainConfig, GeneratorConfig, data_dir or None, echo_dict).
@@ -116,9 +117,6 @@ def load_config(path, overrides=(), seed: int | None = None):
         _check_key(key)
         section, name = key.split(".", 1)
         doc.setdefault(section, {})[name] = value
-
-    if seed is not None:
-        doc["seed"] = seed
 
     def build(section, cls, skip=()):
         src = {k: v for k, v in doc.get(section, {}).items() if k not in skip}
@@ -171,13 +169,11 @@ def _build_parser() -> _Parser:
     def common(p, out_required=True):
         p.add_argument("--config", help="JSON config document")
         p.add_argument("--out", required=out_required, help="output directory")
-        p.add_argument("--seed", type=int, help="override the top-level seed")
         p.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE", help="dotted config override")
         return p
 
-    p = common(sub.add_parser("gen-data", help="generate a synthetic dataset"))
-    p.add_argument("--n", type=int, help="number of samples")
+    common(sub.add_parser("gen-data", help="generate a synthetic dataset"))
 
     p = common(sub.add_parser("train", help="train one fold"))
     p.add_argument("--data", help="dataset directory")
@@ -225,10 +221,7 @@ def _parse_swaps(items):
 
 
 def _cmd_gen_data(args) -> int:
-    cfg, gen, _, echo = load_config(args.config, args.override, args.seed)
-    if args.n is not None:
-        gen.n = args.n
-        echo["data"]["n"] = args.n
+    cfg, gen, _, echo = load_config(args.config, args.override)
     samples = generate_dataset(gen, cfg.seed)
     write_dataset(samples, args.out, meta={"generator": asdict(gen),
                                            "seed": cfg.seed})
@@ -238,7 +231,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg, _, data_dir, echo = load_config(args.config, args.override, args.seed)
+    cfg, _, data_dir, echo = load_config(args.config, args.override)
     samples, path = _load_samples(args, data_dir)
     echo["data"]["dir"] = path
     _write_echo(args.out, "train", echo)
@@ -249,7 +242,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg, _, data_dir, echo = load_config(args.config, args.override, args.seed)
+    cfg, _, data_dir, echo = load_config(args.config, args.override)
     samples, path = _load_samples(args, data_dir)
     res = evaluate(args.checkpoint, samples, cfg)
     print(f"dice mean={res.mean:.4f} sd={res.sd:.4f} n={len(res.scores)}")
@@ -263,7 +256,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg, _, data_dir, echo = load_config(args.config, args.override, args.seed)
+    cfg, _, data_dir, echo = load_config(args.config, args.override)
     samples, path = _load_samples(args, data_dir)
     echo["data"]["dir"] = path
     _write_echo(args.out, "ablate", echo)
@@ -276,7 +269,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    cfg, _, data_dir, echo = load_config(args.config, args.override, args.seed)
+    cfg, _, data_dir, echo = load_config(args.config, args.override)
     samples, path = _load_samples(args, data_dir)
     swaps = _parse_swaps(args.swap) or [("left", "right"), ("large", "small")]
     report = word_swap_probe(args.checkpoint, samples, swaps, cfg)
@@ -292,7 +285,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_viz(args) -> int:
-    cfg, _, data_dir, echo = load_config(args.config, args.override, args.seed)
+    cfg, _, data_dir, echo = load_config(args.config, args.override)
     samples, path = _load_samples(args, data_dir)
     if not 0 <= args.index < len(samples):
         raise CliUsageError(f"--index {args.index} outside dataset of {len(samples)}")
@@ -309,7 +302,7 @@ def _cmd_predict(args) -> int:
     from .model import predict_mask
     from .train import _as_weights, _forward_batch
 
-    cfg, _, _, echo = load_config(args.config, args.override, args.seed)
+    cfg, _, _, echo = load_config(args.config, args.override)
     raw, maxval = read_pgm(args.image)
     if maxval != 65535:
         raise DataFormatError(f"{args.image}: predict expects a 16-bit image PGM")

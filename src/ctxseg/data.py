@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -223,13 +224,9 @@ def decode_image(raw: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # dataset directories
 
-def _attrs_to_dict(attrs: SampleAttrs) -> dict:
-    return asdict(attrs)
-
-
 def write_dataset(samples, out_dir, meta: dict | None = None) -> None:
     """Lay out images/{id}.pgm, masks/{id}.pgm, manifest.jsonl, meta.json."""
-    out_dir = _as_path(out_dir)
+    out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
     (out_dir / "masks").mkdir(parents=True, exist_ok=True)
     lines = []
@@ -243,7 +240,7 @@ def write_dataset(samples, out_dir, meta: dict | None = None) -> None:
             "image": f"images/{sid}.pgm",
             "mask": f"masks/{sid}.pgm",
             "report": smp.report,
-            "attrs": _attrs_to_dict(smp.attrs),
+            "attrs": asdict(smp.attrs),
             "seed": smp.seed,
         }, sort_keys=True))
     (out_dir / "manifest.jsonl").write_text("\n".join(lines) + "\n")
@@ -252,7 +249,7 @@ def write_dataset(samples, out_dir, meta: dict | None = None) -> None:
 
 
 def read_dataset(dir_path) -> list:
-    dir_path = _as_path(dir_path)
+    dir_path = Path(dir_path)
     manifest = dir_path / "manifest.jsonl"
     if not manifest.exists():
         raise DataFormatError(f"no manifest.jsonl under {dir_path}")
@@ -311,11 +308,6 @@ def split_indices(n: int, fractions, fold_seed: int):
     return (perm[:n_tr].tolist(),
             perm[n_tr:n_tr + n_va].tolist(),
             perm[n_tr + n_va:].tolist())
-
-
-def _as_path(p):
-    from pathlib import Path
-    return Path(p)
 
 
 def centroid_side(mask: np.ndarray) -> str | None:

@@ -85,10 +85,6 @@ class EvalResult:
     scores: list
 
 
-def config_to_dict(cfg: TrainConfig) -> dict:
-    return asdict(cfg)
-
-
 def _effective_policy(cfg: TrainConfig) -> AugmentPolicy:
     if cfg.ablation == "flip":
         return replace(cfg.policy, p_hflip=0.5)
@@ -229,7 +225,7 @@ def train(cfg: TrainConfig, dataset, out_dir, fold_seed: int | None = None
     ckpt_path = out_dir / "checkpoint.ctxn"
     dc.save_checkpoint(ckpt_path, best_state)
     (out_dir / "config.echo.json").write_text(
-        json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
+        json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
 
     test_samples = [dataset[i] for i in te_idx]
     if test_samples:
@@ -247,7 +243,7 @@ def train(cfg: TrainConfig, dataset, out_dir, fold_seed: int | None = None
         test_dice_sd=test.sd,
         test_scores=test.scores,
         checkpoint=str(ckpt_path),
-        config=config_to_dict(cfg),
+        config=asdict(cfg),
     )
     (out_dir / "runrecord.json").write_text(record.to_json() + "\n")
     return record
@@ -338,14 +334,12 @@ def swap_word(text: str, src: str, dst: str) -> str:
                   flags=re.IGNORECASE)
 
 
-def _predict_one(weights, sample: Sample, report: str, cfg: TrainConfig,
-                 threshold: float):
+def _predict_one(weights, sample: Sample, report: str, cfg: TrainConfig):
     logits = _forward_batch(weights, [sample.image], [report], cfg, train=False)
-    return predict_mask(logits, threshold)[0, 0]
+    return predict_mask(logits, cfg.threshold)[0, 0]
 
 
-def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig,
-                    threshold: float | None = None) -> dict:
+def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig) -> dict:
     """Re-predict each sample with single words swapped in its report.
 
     For every (src, dst) swap and every sample whose report contains src,
@@ -353,7 +347,6 @@ def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig,
     IoU between the two predictions; aggregates flip rate and mean area ratio
     per swap (also as percentages).
     """
-    thr = cfg.threshold if threshold is None else threshold
     weights = _as_weights(checkpoint, cfg.model, cfg.ablation)
     probes = {f"{src}->{dst}": [] for src, dst in swaps}
     for si, sample in enumerate(samples):
@@ -363,8 +356,8 @@ def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig,
             if swapped == sample.report:
                 continue
             if base_pred is None:
-                base_pred = _predict_one(weights, sample, sample.report, cfg, thr)
-            new_pred = _predict_one(weights, sample, swapped, cfg, thr)
+                base_pred = _predict_one(weights, sample, sample.report, cfg)
+            new_pred = _predict_one(weights, sample, swapped, cfg)
             inter = int((base_pred & new_pred).sum())
             union = int((base_pred | new_pred).sum())
             base_area = int(base_pred.sum())
@@ -378,7 +371,7 @@ def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig,
                 "iou": inter / union if union else 1.0,
             })
 
-    report = {"threshold": thr, "swaps": {}}
+    report = {"threshold": cfg.threshold, "swaps": {}}
     for key, entries in probes.items():
         if not entries:
             raise ValueError(f"swap source word of {key!r} occurs in no report")

@@ -121,9 +121,7 @@ class TestGeometric:
     def test_offframe_mask_rejected_and_passed_through(self):
         # disk hugging the left edge: a large right shift pushes it out
         s = disk_sample(radius=10, cx=6, cy=32)
-        policy = AugmentPolicy(p_photometric=0.0, p_distort=0.0, p_ssr=1.0,
-                               ssr_shift_max=0.0, ssr_scale=(1.0, 1.0),
-                               ssr_rot_max=0.0)
+        policy = AugmentPolicy(p_photometric=0.0, p_distort=0.0, p_ssr=1.0)
 
         # force a huge leftward shift through geometric_distort directly
         from ctxseg.errors import RejectedSample

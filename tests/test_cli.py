@@ -1,5 +1,8 @@
 """Command-line entry points, run in-process through `run`."""
 
+import csv
+import json
+
 import pytest
 
 from ctxseg.cli import _build_parser, run
@@ -24,6 +27,77 @@ def _assert_one_error_line(capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     return err[0]
+
+
+@pytest.fixture(scope="module")
+def data_dir(tmp_path_factory):
+    data = tmp_path_factory.mktemp("cli") / "data"
+    write_dataset(generate_dataset(GeneratorConfig(n=8, image_size=32), base_seed=5),
+                  data)
+    return data
+
+
+@pytest.fixture(scope="module")
+def trained(data_dir):
+    out = data_dir.parent / "run"
+    argv = ["train", "--data", str(data_dir), "--out", str(out),
+            "--override", "train.epochs=1"]
+    assert run(_with_small_model(argv)) == 0
+    return out
+
+
+def test_gen_data_writes_dataset_and_echo(tmp_path):
+    out = tmp_path / "data"
+    argv = ["gen-data", "--out", str(out), "--override", "data.n=8",
+            "--override", "data.image_size=32"]
+    assert run(argv) == 0
+    assert len((out / "manifest.jsonl").read_text().splitlines()) == 8
+    echo = json.loads((out / "invocation.json").read_text())
+    assert echo["command"] == "gen-data" and echo["config"]["data"]["n"] == 8
+
+
+def test_train_writes_checkpoint_and_record(trained):
+    for name in ("invocation.json", "checkpoint.ctxn", "runrecord.json"):
+        assert (trained / name).is_file(), name
+    record = json.loads((trained / "runrecord.json").read_text())
+    assert len(record["train_loss"]) == 1
+
+
+def test_eval_out_writes_scores(trained, data_dir, tmp_path):
+    out = tmp_path / "eval"
+    argv = ["eval", "--checkpoint", str(trained / "checkpoint.ctxn"),
+            "--data", str(data_dir), "--out", str(out)]
+    assert run(_with_small_model(argv)) == 0
+    assert (out / "invocation.json").is_file()
+    res = json.loads((out / "eval.json").read_text())
+    assert len(res["scores"]) == 8 and 0.0 <= res["mean"] <= 1.0
+
+
+def test_ablate_writes_all_four_arms(data_dir, tmp_path):
+    out = tmp_path / "ablate"
+    argv = ["ablate", "--data", str(data_dir), "--out", str(out),
+            "--override", "train.epochs=1", "--override", "split.fold_seeds=[101]"]
+    assert run(_with_small_model(argv)) == 0
+    assert (out / "invocation.json").is_file()
+    with open(out / "comparison.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["arm"] for r in rows] == ["full", "no_text", "flip", "baseline_unet"]
+
+
+@pytest.mark.parametrize("overrides", [
+    ["augment.ssr_shift_max=0.4"],
+    ["augment.brightness_max=0.3", "augment.p_photometric=1.0"],
+])
+def test_augment_bounds_are_not_config_keys(overrides, data_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["train", "--data", str(data_dir), "--out", str(out),
+            "--override", "train.epochs=1"]
+    for ov in overrides:
+        argv += ["--override", ov]
+    assert run(_with_small_model(argv)) == 1
+    line = _assert_one_error_line(capsys)
+    assert f"unknown config key {overrides[0].split('=')[0]!r}" in line
+    assert not (out / "checkpoint.ctxn").exists()
 
 
 def test_predict_on_baseline_checkpoint(tmp_path):
@@ -81,8 +155,10 @@ def test_eval_with_mismatched_channels_exits_2(tmp_path, capsys):
     ["gen-data", "--out", "data", "--jobs", "2"],
     ["viz", "--checkpoint", "c.ctxn", "--out", "viz", "--jobs", "2"],
     ["ablate", "--out", "out", "--threshold", "0.3"],
+    ["gen-data", "--out", "data", "--n", "16"],
+    ["train", "--out", "o", "--seed", "3"],
 ])
-def test_flags_nothing_reads_are_rejected(argv, tmp_path, monkeypatch, capsys):
+def test_deleted_and_unread_flags_are_rejected(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 1
     line = _assert_one_error_line(capsys)
