@@ -3,9 +3,11 @@
 Subcommands: gen-data, train, eval, ablate, probe, viz, predict. Configs are
 one JSON document with sections train/model/augment/split/data plus a top
 level seed; an empty or missing file means all defaults. Dotted --override
-keys (repeatable) are applied last, and every artifact-producing run writes
-an invocation echo sufficient to reproduce it. --override is the one way to
-set the seed and the sample count: `--override seed=3`, `--override data.n=16`.
+keys (repeatable) are applied last. --override is the one way to set the seed
+and the sample count: `--override seed=3`, `--override data.n=16`. Every
+artifact-producing run writes `invocation.json`, the config sections its
+command reads plus a top-level "command" name that loading skips, so
+`--config run/invocation.json` repeats the run.
 
 Exit codes: 0 success; 1 usage or config error, or any other invalid value
 (a ValueError, e.g. a swap word no report contains, or viz on an arm without
@@ -100,7 +102,7 @@ def load_config(path, overrides=()):
             raise ConfigError(f"{path}: top level must be an object")
 
     for section, content in doc.items():
-        if section == "seed":
+        if section in ("seed", "command"):
             continue
         if section not in _SECTIONS:
             _check_key(section if "." in section else f"{section}.")
@@ -148,11 +150,17 @@ def load_config(path, overrides=()):
 
 
 def _write_echo(out_dir, command, echo) -> None:
+    """invocation.json: the sections of `echo` that `command` reads. Only
+    gen-data reads the generator config; it reads no other section."""
+    if command == "gen-data":
+        doc = {"seed": echo["seed"], "data": echo["data"]}
+    else:
+        doc = {**echo, "data": {k: v for k, v in echo["data"].items() if k == "dir"}}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "invocation.json").write_text(
-        json.dumps({"command": command, "config": echo}, indent=2,
-                   sort_keys=True, default=str) + "\n")
+        json.dumps({"command": command, **doc}, indent=2, sort_keys=True,
+                   default=str) + "\n")
 
 
 def _load_samples(args, data_dir):

@@ -11,7 +11,6 @@ Sides are image-space: "left" means centroid x < S/2.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -108,7 +107,9 @@ def generate_sample(seed: int, cfg: GeneratorConfig) -> Sample:
     jit_b = rng.uniform(0.95, 1.05)
     a, b = 0.17 * s * jit_a, 0.30 * s * jit_b
     cy = 0.52 * s
-    lung_cx = {"left": 0.30 * s, "right": 0.70 * s}
+    # Both lungs sit 0.20*s from (s-1)/2, the axis the twin is mirrored
+    # about, so a crescent and its twin sit alike on their lungs.
+    lung_cx = {"left": (s - 1) / 2 - 0.20 * s, "right": (s - 1) / 2 + 0.20 * s}
     for cx in lung_cx.values():
         e = ((xx - cx) / a) ** 2 + ((yy - cy) / b) ** 2
         image -= 0.16 * gaussian_filter((e <= 1.0).astype(np.float64), sigma=1.0)
@@ -317,18 +318,3 @@ def centroid_side(mask: np.ndarray) -> str | None:
         return None
     return "left" if xs.mean() < mask.shape[1] / 2.0 else "right"
 
-
-_WORD_RE = re.compile(r"[a-z]+")
-
-
-def report_consistent(sample: Sample) -> bool:
-    """Generator-output consistency: attrs words appear iff attrs claim them."""
-    words = set(_WORD_RE.findall(sample.report.lower()))
-    at = sample.attrs
-    if not at.present:
-        return "no" in words and "pneumothorax" in words and sample.mask.sum() == 0
-    if sample.mask.sum() == 0:
-        return False
-    if centroid_side(sample.mask) != at.side:
-        return False
-    return {at.side, at.zone, at.size, "pneumothorax"} <= words

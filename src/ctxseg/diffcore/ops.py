@@ -1,10 +1,12 @@
 """Forward primitives and their reverse-mode gradients.
 
-Everything operates on DiffTensor and returns DiffTensor. `conv2d` flattens
-the padded NCHW input to (N, C, Hp*Wp), where each kernel tap (di, dj) reads
-the same contiguous run shifted by di*Wp + dj. Forward and backward are then
-one BLAS matmul per tap, and the backward closure keeps the padded input,
-not a column matrix.
+Everything operates on DiffTensor and returns DiffTensor. The two
+convolutions share one core, `_conv`: it flattens the padded NCHW input to
+(N, C, Hp*Wp), where each kernel tap (di, dj) reads the same contiguous run
+shifted by di*Wp + dj, so forward and backward are one BLAS matmul per tap
+and the gradient keeps the padded input, not a column matrix. `conv2d` is
+that conv alone. `conv_bn_relu` is conv -> batch norm -> ReLU as one graph
+node, whose backward hands its gradient straight to the conv's.
 """
 
 from __future__ import annotations
@@ -17,18 +19,6 @@ from .tensor import DiffTensor
 
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
-
-def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add: shapes {a.data.shape} vs {b.data.shape}")
-
-    def back():
-        a.accum_grad(out.grad)
-        b.accum_grad(out.grad)
-
-    out = DiffTensor._node(a.data + b.data, (a, b), back)
-    return out
-
 
 def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     if a.data.shape != b.data.shape:
@@ -133,14 +123,6 @@ def concat_channels(a: DiffTensor, b: DiffTensor) -> DiffTensor:
 # ---------------------------------------------------------------------------
 # activations
 
-def relu(x: DiffTensor) -> DiffTensor:
-    def back():
-        x.accum_grad(out.grad * (x.data > 0))
-
-    out = DiffTensor._node(np.maximum(x.data, 0), (x,), back)
-    return out
-
-
 def tanh(x: DiffTensor) -> DiffTensor:
     y = np.tanh(x.data)
 
@@ -220,63 +202,52 @@ def _tap_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b if a.shape[-1] == 1 else a @ b
 
 
-def conv2d(x: DiffTensor, weight: DiffTensor, bias: DiffTensor,
-           stride: int = 1, padding: int = 0) -> DiffTensor:
-    """2-D cross-correlation over NCHW input with an OIHW kernel.
+def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str):
+    """Stride-1 cross-correlation of NCHW `x` with an odd k x k OIHW kernel,
+    zero-padded by k // 2 so height and width are kept, plus bias.
 
-    Runs one GEMM per kernel tap on the padded input flattened to
-    (N, Cin, Hp*Wp): output position p on the padded-width grid reads tap
-    (di, dj) at flat index p + di*Wp + dj, so each tap is a contiguous slice.
-    The output is always computed densely at stride 1 on that grid; for
-    stride > 1 it is then subsampled to every `stride`-th row and column.
-    The backward closure holds the padded input and the tap-major kernel,
-    nothing the size of a column matrix.
+    Returns (y, back), where back(g) accumulates the gradients of x, weight
+    and bias for output gradient g. Runs one GEMM per kernel tap on the padded
+    input flattened to (N, Cin, Hp*Wp): output position p on the padded-width
+    grid reads tap (di, dj) at flat index p + di*Wp + dj, so each tap is a
+    contiguous slice. `back` holds the padded input and the tap-major kernel,
+    nothing the size of a column matrix. `op` names the caller in errors.
     """
     if x.data.ndim != 4:
-        raise ShapeError(f"conv2d input must be NCHW, got {x.data.shape}")
+        raise ShapeError(f"{op} input must be NCHW, got {x.data.shape}")
     if weight.data.ndim != 4:
-        raise ShapeError(f"conv2d weight must be OIHW, got {weight.data.shape}")
+        raise ShapeError(f"{op} weight must be OIHW, got {weight.data.shape}")
     n, cin, h, w = x.data.shape
     cout, cin_w, kh, kw = weight.data.shape
-    if kh != kw:
-        raise ShapeError(f"conv2d kernel must be square, got {kh}x{kw}")
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"{op} kernel must be square and odd, got {kh}x{kw}")
     if cin_w != cin:
         raise ShapeError(
-            f"conv2d: input has {cin} channels but weight expects {cin_w}")
+            f"{op}: input has {cin} channels but weight expects {cin_w}")
     if bias.data.shape != (cout,):
-        raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({cout},)")
-    if stride < 1 or kh < 1 or padding < 0:
-        raise ShapeError(f"conv2d: bad stride/kernel/padding ({stride},{kh},{padding})")
-    k = kh
-    oh = (h + 2 * padding - k) // stride + 1
-    ow = (w + 2 * padding - k) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"conv2d: kernel {k} exceeds padded input {h + 2 * padding}")
-
-    hp, wp = h + 2 * padding, w + 2 * padding
-    if padding:
+        raise ShapeError(f"{op}: bias shape {bias.data.shape} != ({cout},)")
+    k, pad = kh, kh // 2
+    hp, wp = h + 2 * pad, w + 2 * pad
+    if pad:
         xp = np.zeros((n, cin, hp, wp), dtype=x.data.dtype)
-        xp[:, :, padding:padding + h, padding:padding + w] = x.data
+        xp[:, :, pad:pad + h, pad:pad + w] = x.data
     else:
         xp = x.data
     xf = xp.reshape(n, cin, hp * wp)
-    # Dense stride-1 rows on the padded-width grid; the last k-1 columns of
-    # each row wrap into the next row and are never kept.
-    rows = hp - k + 1
-    span = rows * wp - (k - 1)
+    # h output rows on the padded-width grid; the last k-1 columns of each
+    # row wrap into the next row and are never kept.
+    span = h * wp - (k - 1)
     taps = [(di, dj, di * wp + dj) for di in range(k) for dj in range(k)]
     wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))   # (k, k, cout, cin)
-    yd = np.zeros((n, cout, rows * wp), dtype=xp.dtype)
+    yd = np.zeros((n, cout, h * wp), dtype=xp.dtype)
     for di, dj, off in taps:
         yd[:, :, :span] += _tap_gemm(wt[di, dj], xf[:, :, off:off + span])
-    keep = (slice(None), slice(None),
-            slice(0, stride * oh, stride), slice(0, stride * ow, stride))
-    y = yd.reshape(n, cout, rows, wp)[keep] + bias.data[None, :, None, None]
+    y = yd.reshape(n, cout, h, wp)[:, :, :, :w] + bias.data[None, :, None, None]
 
-    def back():
-        bias.accum_grad(out.grad.sum(axis=(0, 2, 3)))
-        gd = np.zeros((n, cout, rows * wp), dtype=xp.dtype)
-        gd.reshape(n, cout, rows, wp)[keep] = out.grad
+    def back(g):
+        bias.accum_grad(g.sum(axis=(0, 2, 3)))
+        gd = np.zeros((n, cout, h * wp), dtype=xp.dtype)
+        gd.reshape(n, cout, h, wp)[:, :, :, :w] = g
         ga = gd[:, :, :span]
         gw = np.empty_like(wt)
         gxf = np.zeros_like(xf) if x.requires_grad else None
@@ -287,10 +258,84 @@ def conv2d(x: DiffTensor, weight: DiffTensor, bias: DiffTensor,
                 gxf[:, :, off:off + span] += _tap_gemm(wt[di, dj].T, ga)
         weight.accum_grad(gw.transpose(2, 3, 0, 1))
         if gxf is not None:
-            x.accum_grad(gxf.reshape(n, cin, hp, wp)[:, :, padding:padding + h,
-                                                       padding:padding + w])
+            x.accum_grad(gxf.reshape(n, cin, hp, wp)[:, :, pad:pad + h, pad:pad + w])
 
-    out = DiffTensor._node(y, (x, weight, bias), back)
+    return y, back
+
+
+def conv2d(x: DiffTensor, weight: DiffTensor, bias: DiffTensor) -> DiffTensor:
+    """2-D cross-correlation over NCHW input with an odd k x k OIHW kernel,
+    at stride 1 with zero padding k // 2, so the output keeps the input's
+    height and width. The model calls it only for its 1x1 logit head; every
+    other conv is a `conv_bn_relu` sublayer.
+    """
+    y, back = _conv(x, weight, bias, "conv2d")
+    out = DiffTensor._node(y, (x, weight, bias), lambda: back(out.grad))
+    return out
+
+
+# Batch-norm running-average momentum and variance epsilon of every
+# conv_bn_relu sublayer.
+_BN_MOMENTUM = 0.1
+_BN_EPS = 1e-5
+
+
+def conv_bn_relu(x: DiffTensor, weight: DiffTensor, bias: DiffTensor,
+                 gamma: DiffTensor, beta: DiffTensor, running_mean: DiffTensor,
+                 running_var: DiffTensor, train: bool) -> DiffTensor:
+    """One U-Net conv sublayer as one graph node: relu(batchnorm(conv2d(x))).
+
+    The conv is `conv2d`'s. Batch normalization is per channel. Train mode
+    normalizes with the batch statistics and updates the running buffers in
+    place as running <- 0.9 * running + 0.1 * batch; eval mode reads the
+    running buffers only. Variances are population (biased) in both modes,
+    and eps is 1e-5. Backward masks the output gradient where the ReLU
+    clamped, takes it through batch normalization and hands the result
+    straight to the conv's gradient.
+    """
+    z, conv_back = _conv(x, weight, bias, "conv_bn_relu")
+    n, c, h, w = z.shape
+    for name, t in (("gamma", gamma), ("beta", beta),
+                    ("running_mean", running_mean), ("running_var", running_var)):
+        if t.data.shape != (c,):
+            raise ShapeError(f"conv_bn_relu: {name} shape {t.data.shape} != ({c},)")
+
+    if train:
+        if n * h * w < 2:
+            raise ShapeError(
+                "conv_bn_relu train mode needs at least 2 values per channel "
+                f"(got batch*H*W = {n * h * w})")
+        mean = z.mean(axis=(0, 2, 3))
+        var = z.var(axis=(0, 2, 3))
+        running_mean.data[:] = ((1.0 - _BN_MOMENTUM) * running_mean.data
+                                + _BN_MOMENTUM * mean)
+        running_var.data[:] = ((1.0 - _BN_MOMENTUM) * running_var.data
+                               + _BN_MOMENTUM * var)
+    else:
+        mean = running_mean.data
+        var = running_var.data
+
+    inv = (1.0 / np.sqrt(var + _BN_EPS))[None, :, None, None]
+    xhat = z                          # normalized in place: z is not read again
+    xhat -= mean[None, :, None, None]
+    xhat *= inv
+    y = gamma.data[None, :, None, None] * xhat
+    y += beta.data[None, :, None, None]
+    np.maximum(y, 0, out=y)
+
+    def back():
+        go = out.grad * (out.data > 0)
+        gamma.accum_grad((go * xhat).sum(axis=(0, 2, 3)))
+        beta.accum_grad(go.sum(axis=(0, 2, 3)))
+        gi = gamma.data[None, :, None, None] * inv
+        if train:
+            mg = go.mean(axis=(0, 2, 3))[None, :, None, None]
+            mgx = (go * xhat).mean(axis=(0, 2, 3))[None, :, None, None]
+            conv_back(gi * (go - mg - xhat * mgx))
+        else:
+            conv_back(gi * go)
+
+    out = DiffTensor._node(y, (x, weight, bias, gamma, beta), back)
     return out
 
 
@@ -358,61 +403,6 @@ def upconv2(x: DiffTensor, weight: DiffTensor, bias: DiffTensor) -> DiffTensor:
             x.accum_grad(gx)
 
     out = DiffTensor._node(y, (x, weight, bias), back)
-    return out
-
-
-def batchnorm2d(x: DiffTensor, gamma: DiffTensor, beta: DiffTensor,
-                running_mean: DiffTensor, running_var: DiffTensor,
-                momentum: float = 0.1, eps: float = 1e-5,
-                train: bool = True) -> DiffTensor:
-    """Per-channel batch normalization over NCHW.
-
-    Train mode normalizes with batch statistics and updates the running
-    buffers in place as running <- (1-momentum)*running + momentum*batch.
-    Eval mode reads the running buffers only. Variances are population
-    (biased) in both paths.
-    """
-    if x.data.ndim != 4:
-        raise ShapeError(f"batchnorm2d input must be NCHW, got {x.data.shape}")
-    n, c, h, w = x.data.shape
-    for name, t in (("gamma", gamma), ("beta", beta),
-                    ("running_mean", running_mean), ("running_var", running_var)):
-        if t.data.shape != (c,):
-            raise ShapeError(f"batchnorm2d: {name} shape {t.data.shape} != ({c},)")
-
-    if train:
-        m = n * h * w
-        if m < 2:
-            raise ShapeError(
-                "batchnorm2d train mode needs at least 2 values per channel "
-                f"(got batch*H*W = {m})")
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
-        running_mean.data[:] = (1.0 - momentum) * running_mean.data + momentum * mean
-        running_var.data[:] = (1.0 - momentum) * running_var.data + momentum * var
-    else:
-        mean = running_mean.data
-        var = running_var.data
-
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv[None, :, None, None]
-    y = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-
-    def back():
-        go = out.grad
-        gamma.accum_grad((go * xhat).sum(axis=(0, 2, 3)))
-        beta.accum_grad(go.sum(axis=(0, 2, 3)))
-        if not x.requires_grad:
-            return
-        gi = gamma.data[None, :, None, None] * inv[None, :, None, None]
-        if train:
-            mg = go.mean(axis=(0, 2, 3))[None, :, None, None]
-            mgx = (go * xhat).mean(axis=(0, 2, 3))[None, :, None, None]
-            x.accum_grad(gi * (go - mg - xhat * mgx))
-        else:
-            x.accum_grad(gi * go)
-
-    out = DiffTensor._node(y.astype(x.data.dtype, copy=False), (x, gamma, beta), back)
     return out
 
 

@@ -75,36 +75,21 @@ class CrossAttnParams:
 # ---------------------------------------------------------------------------
 # initialization
 
-def _kaiming_uniform(rng, shape, fan_in):
-    bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+def weight_shapes(cfg: ModelConfig, with_attention: bool = True) -> dict:
+    """{name: shape} of every model tensor, in checkpoint order.
 
-
-def init_weights(cfg: ModelConfig, with_attention: bool = True) -> dict:
-    """Deterministic weights keyed per tensor name, so the two model variants
-    share identical values for every name they have in common."""
-    w: dict = {}
-
-    def draw(name, shape, fan_in):
-        rng = rng_from(cfg.init_seed, fnv1a_str(name))
-        w[name] = DiffTensor(_kaiming_uniform(rng, shape, fan_in), requires_grad=True)
-
-    def zeros(name, shape, trainable=True):
-        w[name] = DiffTensor(np.zeros(shape), requires_grad=trainable)
-
-    def _bn(prefix, c):
-        w[prefix + ".gamma"] = DiffTensor(np.ones(c), requires_grad=True)
-        zeros(prefix + ".beta", (c,))
-        zeros(prefix + ".mean", (c,), trainable=False)
-        w[prefix + ".var"] = DiffTensor(np.ones(c), requires_grad=False)
+    Conv kernels are OIHW, up-conv kernels IOHW and projection matrices
+    (in, out). Each conv sublayer j of a block has a kernel `convj.w`, a bias
+    `convj.b` and batch-norm `bnj.gamma`, `bnj.beta`, `bnj.mean`, `bnj.var`.
+    """
+    shapes: dict = {}
 
     def conv_block(prefix, cin, cout):
-        draw(f"{prefix}.conv1.w", (cout, cin, 3, 3), cin * 9)
-        zeros(f"{prefix}.conv1.b", (cout,))
-        _bn(f"{prefix}.bn1", cout)
-        draw(f"{prefix}.conv2.w", (cout, cout, 3, 3), cout * 9)
-        zeros(f"{prefix}.conv2.b", (cout,))
-        _bn(f"{prefix}.bn2", cout)
+        for j, c in ((1, cin), (2, cout)):
+            shapes[f"{prefix}.conv{j}.w"] = (cout, c, 3, 3)
+            shapes[f"{prefix}.conv{j}.b"] = (cout,)
+            for part in ("gamma", "beta", "mean", "var"):
+                shapes[f"{prefix}.bn{j}.{part}"] = (cout,)
 
     d = cfg.depth
     cin = 1
@@ -114,38 +99,59 @@ def init_weights(cfg: ModelConfig, with_attention: bool = True) -> dict:
         cin = cout
     for i in range(d, 0, -1):
         c = cfg.channels[i - 1]
-        c_above = cfg.level_channels(i + 1)
-        draw(f"up{i}.w", (c_above, c, 2, 2), c_above * 4)
-        zeros(f"up{i}.b", (c,))
+        shapes[f"up{i}.w"] = (cfg.level_channels(i + 1), c, 2, 2)
+        shapes[f"up{i}.b"] = (c,)
         if with_attention:
-            draw(f"xattn{i}.tproj.w", (cfg.d_e, c), cfg.d_e)
-            zeros(f"xattn{i}.tproj.b", (c,))
+            shapes[f"xattn{i}.tproj.w"] = (cfg.d_e, c)
+            shapes[f"xattn{i}.tproj.b"] = (c,)
             for part in ("wq", "wk", "wv"):
-                draw(f"xattn{i}.{part}.w", (c, c), c)
-                zeros(f"xattn{i}.{part}.b", (c,))
+                shapes[f"xattn{i}.{part}.w"] = (c, c)
+                shapes[f"xattn{i}.{part}.b"] = (c,)
         conv_block(f"dec{i}", 2 * c, c)
-    draw("head.w", (1, cfg.channels[0], 1, 1), cfg.channels[0])
-    zeros("head.b", (1,))
+    shapes["head.w"] = (1, cfg.channels[0], 1, 1)
+    shapes["head.b"] = (1,)
+    return shapes
+
+
+def init_weights(cfg: ModelConfig, with_attention: bool = True) -> dict:
+    """Deterministic weights keyed per tensor name, so the two model variants
+    share identical values for every name they have in common.
+
+    Kernels and matrices (`.w`) are Kaiming-uniform over their fan-in, the
+    product of every axis but the output one. Biases and `beta` start at 0
+    and `gamma` at 1. The running mean (0) and variance (1) take no gradient.
+    """
+    w: dict = {}
+    for name, shape in weight_shapes(cfg, with_attention).items():
+        part = name.rsplit(".", 1)[1]
+        if part == "w":
+            # the output axis is 1 in IOHW up-conv kernels and (in, out)
+            # matrices, 0 in OIHW conv kernels
+            out_axis = 1 if name.startswith("up") or len(shape) == 2 else 0
+            bound = math.sqrt(6.0 / (math.prod(shape) // shape[out_axis]))
+            rng = rng_from(cfg.init_seed, fnv1a_str(name))
+            w[name] = DiffTensor(rng.uniform(-bound, bound, size=shape),
+                                 requires_grad=True)
+        else:
+            fill = np.ones if part in ("gamma", "var") else np.zeros
+            w[name] = DiffTensor(fill(shape),
+                                 requires_grad=part not in ("mean", "var"))
     return w
-
-
-def param_count(weights: dict) -> int:
-    return sum(p.data.size for p in weights.values() if p.requires_grad)
 
 
 # ---------------------------------------------------------------------------
 # forward passes
 
 def _double_conv(x, weights, prefix, train):
-    """Two (conv3x3 -> batchnorm -> relu) sublayers; spatial size preserved."""
+    """Two conv3x3 -> batchnorm -> ReLU sublayers, one `conv_bn_relu` graph
+    node each; spatial size preserved."""
     for j in (1, 2):
-        x = dc.conv2d(x, weights[f"{prefix}.conv{j}.w"],
-                      weights[f"{prefix}.conv{j}.b"], stride=1, padding=1)
-        x = dc.batchnorm2d(x, weights[f"{prefix}.bn{j}.gamma"],
-                           weights[f"{prefix}.bn{j}.beta"],
-                           weights[f"{prefix}.bn{j}.mean"],
-                           weights[f"{prefix}.bn{j}.var"], train=train)
-        x = dc.relu(x)
+        x = dc.conv_bn_relu(x, weights[f"{prefix}.conv{j}.w"],
+                            weights[f"{prefix}.conv{j}.b"],
+                            weights[f"{prefix}.bn{j}.gamma"],
+                            weights[f"{prefix}.bn{j}.beta"],
+                            weights[f"{prefix}.bn{j}.mean"],
+                            weights[f"{prefix}.bn{j}.var"], train)
     return x
 
 
@@ -229,7 +235,7 @@ def _updown(image, embs, weights, cfg, train, capture, use_attention):
             g = u
         x = _double_conv(dc.concat_channels(g, skips[i - 1]), weights,
                          f"dec{i}", train)
-    return dc.conv2d(x, weights["head.w"], weights["head.b"], stride=1, padding=0)
+    return dc.conv2d(x, weights["head.w"], weights["head.b"])
 
 
 def text_gated_forward(image, embs, weights: dict, cfg: ModelConfig,

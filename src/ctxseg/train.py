@@ -26,7 +26,7 @@ from .data import (Sample, SplitSpec, centroid_side, dice, split_indices,
 from .diffcore import DiffTensor
 from .errors import DataFormatError, NumericalError
 from .model import (ModelConfig, init_weights, predict_mask, text_gated_forward,
-                    unet_forward)
+                    unet_forward, weight_shapes)
 from .textenc import embed, tokenize
 from .util import mix64, rng_from
 
@@ -121,18 +121,18 @@ def _as_weights(src, mc: ModelConfig, ablation: str) -> dict:
         src = dc.load_checkpoint(src)
     arrays = {name: v.data if isinstance(v, DiffTensor) else v
               for name, v in src.items()}
-    expected = init_weights(mc, with_attention=ablation != "baseline_unet")
+    expected = weight_shapes(mc, with_attention=ablation != "baseline_unet")
     if set(expected) != set(arrays):
         missing = sorted(set(expected) - set(arrays))[:3]
         extra = sorted(set(arrays) - set(expected))[:3]
         raise DataFormatError(
             f"checkpoint does not match model config (missing {missing}, "
             f"unexpected {extra})")
-    for name, t in expected.items():
-        if np.shape(arrays[name]) != t.data.shape:
+    for name, shape in expected.items():
+        if np.shape(arrays[name]) != shape:
             raise DataFormatError(
                 f"checkpoint tensor {name!r} has shape {np.shape(arrays[name])}, "
-                f"model config expects {t.data.shape}")
+                f"model config expects {shape}")
     return {name: DiffTensor(arr) for name, arr in arrays.items()}
 
 
@@ -224,8 +224,6 @@ def train(cfg: TrainConfig, dataset, out_dir, fold_seed: int | None = None
 
     ckpt_path = out_dir / "checkpoint.ctxn"
     dc.save_checkpoint(ckpt_path, best_state)
-    (out_dir / "config.echo.json").write_text(
-        json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
 
     test_samples = [dataset[i] for i in te_idx]
     if test_samples:

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DiffTensor, backward
-from .optim import zero_grads
+from ctxseg.diffcore import backward, zero_grads
 
 
 @dataclass

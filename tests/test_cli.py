@@ -53,7 +53,7 @@ def test_gen_data_writes_dataset_and_echo(tmp_path):
     assert run(argv) == 0
     assert len((out / "manifest.jsonl").read_text().splitlines()) == 8
     echo = json.loads((out / "invocation.json").read_text())
-    assert echo["command"] == "gen-data" and echo["config"]["data"]["n"] == 8
+    assert echo["command"] == "gen-data" and echo["data"]["n"] == 8
 
 
 def test_train_writes_checkpoint_and_record(trained):
@@ -61,6 +61,16 @@ def test_train_writes_checkpoint_and_record(trained):
         assert (trained / name).is_file(), name
     record = json.loads((trained / "runrecord.json").read_text())
     assert len(record["train_loss"]) == 1
+
+
+def test_train_reruns_from_its_own_echo(trained, tmp_path):
+    echo = json.loads((trained / "invocation.json").read_text())
+    assert echo["command"] == "train" and set(echo["data"]) == {"dir"}
+    out = tmp_path / "rerun"
+    assert run(["train", "--config", str(trained / "invocation.json"),
+                "--out", str(out)]) == 0
+    assert ((out / "checkpoint.ctxn").read_bytes()
+            == (trained / "checkpoint.ctxn").read_bytes())
 
 
 def test_eval_out_writes_scores(trained, data_dir, tmp_path):

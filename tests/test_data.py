@@ -1,6 +1,7 @@
 """Generator soundness, PGM round trips, Dice oracle, split properties."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +10,26 @@ from hypothesis import strategies as st
 
 from ctxseg.data import (GeneratorConfig, Sample, SampleAttrs, SplitSpec,
                          centroid_side, decode_image, dice, encode_image,
-                         generate_dataset, generate_sample,
-                         read_dataset, read_pgm, report_consistent,
-                         split_indices, write_dataset, write_pgm)
+                         generate_dataset, generate_sample, read_dataset,
+                         read_pgm, split_indices, write_dataset, write_pgm)
 from ctxseg.errors import DataFormatError, ShapeError
 
 from oracles import dice_counters
+
+_WORD_RE = re.compile(r"[a-z]+")
+
+
+def report_consistent(sample: Sample) -> bool:
+    """Generator-output consistency: attrs words appear iff attrs claim them."""
+    words = set(_WORD_RE.findall(sample.report.lower()))
+    at = sample.attrs
+    if not at.present:
+        return "no" in words and "pneumothorax" in words and sample.mask.sum() == 0
+    if sample.mask.sum() == 0:
+        return False
+    if centroid_side(sample.mask) != at.side:
+        return False
+    return {at.side, at.zone, at.size, "pneumothorax"} <= words
 
 
 class TestGenerator:
@@ -60,6 +75,15 @@ class TestGenerator:
             d_means.append(float(s.image[m[:, ::-1]].mean()))
         t, d = np.mean(t_means), np.mean(d_means)
         assert abs(t - d) / t < 0.05
+
+    def test_ambiguous_mean_image_is_mirror_symmetric(self):
+        # A crescent and its twin must differ only in side, so an image-only
+        # model cannot tell them apart: averaged over ambiguous samples, the
+        # image equals its own mirror image.
+        cfg = GeneratorConfig(ambiguous_fraction=1.0)
+        mean = np.mean([generate_sample(seed, cfg).image for seed in range(128)],
+                       axis=0)
+        assert np.abs(mean - mean[:, ::-1]).max() < 0.02
 
     def test_invariants_over_many_samples(self):
         cfg = GeneratorConfig(present_fraction=0.9, ambiguous_fraction=0.5)

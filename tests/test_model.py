@@ -7,11 +7,16 @@ import ctxseg.diffcore as dc
 from ctxseg.diffcore import DiffTensor, backward
 from ctxseg.errors import ShapeError
 from ctxseg.model import (CrossAttnParams, ModelConfig, _double_conv,
-                          cross_attention, init_weights, param_count,
-                          predict_mask, text_gated_forward, unet_forward)
+                          cross_attention, init_weights, predict_mask,
+                          text_gated_forward, unet_forward, weight_shapes)
 from ctxseg.textenc import embed, tokenize
 
-from oracles import cross_attention_direct
+from gradcheck import finite_diff_check
+from oracles import conv2d_loops, cross_attention_direct
+
+
+def param_count(weights: dict) -> int:
+    return sum(p.data.size for p in weights.values() if p.requires_grad)
 
 
 def tiny_config(**kwargs):
@@ -55,6 +60,13 @@ class TestInitWeights:
         for name in base:
             assert full[name].data.tobytes() == base[name].data.tobytes()
 
+    @pytest.mark.parametrize("with_attention", [True, False])
+    def test_weight_shapes_list_init_weights_in_order(self, with_attention):
+        cfg = tiny_config()
+        got = [(n, t.data.shape)
+               for n, t in init_weights(cfg, with_attention).items()]
+        assert got == list(weight_shapes(cfg, with_attention).items())
+
     def test_running_stats_not_trainable(self):
         w = init_weights(tiny_config())
         for name, t in w.items():
@@ -82,18 +94,23 @@ class TestEncoderLayer:
         cfg = tiny_config()
         w = init_weights(cfg)
         x_arr = rng.standard_normal((2, 1, 16, 16)).astype(np.float32)
+        for name, t in w.items():        # nonzero biases and running stats
+            if name.endswith((".b", ".beta", ".mean")):
+                t.data[:] = 0.5 * rng.standard_normal(t.data.shape)
+            if name.endswith((".gamma", ".var")):
+                t.data[:] = rng.uniform(0.5, 2.0, t.data.shape)
         got = _double_conv(DiffTensor(x_arr), w, "enc1", train=False).data
 
-        # independent composition, calling the diffcore primitives directly
-        t = DiffTensor(x_arr)
+        # independent composition of conv, eval-mode batchnorm and ReLU, twice
+        t = x_arr
         for j in (1, 2):
-            t = dc.conv2d(t, w[f"enc1.conv{j}.w"], w[f"enc1.conv{j}.b"],
-                          stride=1, padding=1)
-            t = dc.batchnorm2d(t, w[f"enc1.bn{j}.gamma"], w[f"enc1.bn{j}.beta"],
-                               w[f"enc1.bn{j}.mean"], w[f"enc1.bn{j}.var"],
-                               train=False)
-            t = dc.relu(t)
-        np.testing.assert_array_equal(got, t.data)
+            p = {k: w[f"enc1.bn{j}.{k}"].data[:, None, None]
+                 for k in ("gamma", "beta", "mean", "var")}
+            t = conv2d_loops(t, w[f"enc1.conv{j}.w"].data, w[f"enc1.conv{j}.b"].data,
+                             padding=1)
+            t = p["gamma"] * (t - p["mean"]) / np.sqrt(p["var"] + 1e-5) + p["beta"]
+            t = np.maximum(t, 0.0)
+        np.testing.assert_allclose(got, t, atol=1e-5, rtol=1e-4)
 
 
 class TestCrossAttention:
@@ -221,7 +238,7 @@ class TestCrossAttention:
                                   attend_padding=False)
             return dc.sum_all(dc.mul(out, r))
 
-        report = dc.finite_diff_check(loss, tensors, eps=1e-5, num_coords=1000)
+        report = finite_diff_check(loss, tensors, eps=1e-5, num_coords=1000)
         assert {c.param for c in report.checks} == set(tensors)
         for c in report.checks:
             if c.param == "wk_b":

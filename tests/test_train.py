@@ -40,7 +40,6 @@ class TestTrain:
         ckpt = load_checkpoint(record.checkpoint)
         assert "enc1.conv1.w" in ckpt
         assert (tmp_path / "runrecord.json").exists()
-        assert (tmp_path / "config.echo.json").exists()
 
     def test_loss_decreases_over_training(self, tiny_dataset, tmp_path):
         # median over 3 seeds of (epoch-1 loss - epoch-20 loss) is positive
