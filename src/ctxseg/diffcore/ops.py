@@ -7,9 +7,14 @@ shifted by di*Wp + dj, so forward and backward are one BLAS matmul per tap
 and the gradient keeps the padded input, not a column matrix. `conv2d` is
 that conv alone. `conv_bn_relu` is conv -> batch norm -> ReLU as one graph
 node, whose backward hands its gradient straight to the conv's.
+`attention_gate` is the pixel side of the text gate as one node, computed
+channel-major, (N, C, H*W) queries against (N, L, H*W) logits, so nothing
+is transposed and its softmax reduces across token rows.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,20 +42,6 @@ def scale(a: DiffTensor, s: float) -> DiffTensor:
         a.accum_grad(out.grad * s)
 
     out = DiffTensor._node(a.data * s, (a,), back)
-    return out
-
-
-def add_const(a: DiffTensor, c) -> DiffTensor:
-    """Add a non-differentiable constant (broadcastable against `a`)."""
-    y = a.data + np.asarray(c, dtype=a.data.dtype)
-    if y.shape != a.data.shape:
-        raise ShapeError(f"add_const: constant {np.shape(c)} broadcasts {a.data.shape} "
-                         f"to {y.shape}")
-
-    def back():
-        a.accum_grad(out.grad)
-
-    out = DiffTensor._node(y, (a,), back)
     return out
 
 
@@ -82,27 +73,6 @@ def mean_all(a: DiffTensor) -> DiffTensor:
 # ---------------------------------------------------------------------------
 # shape plumbing
 
-def reshape(a: DiffTensor, shape) -> DiffTensor:
-    def back():
-        a.accum_grad(out.grad.reshape(a.data.shape))
-
-    out = DiffTensor._node(np.ascontiguousarray(a.data.reshape(shape)), (a,), back)
-    return out
-
-
-def transpose2(a: DiffTensor) -> DiffTensor:
-    """Swap the last two axes of a matrix or a stack of matrices."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose2 expects a matrix, got {a.data.shape}")
-    swapped = np.ascontiguousarray(np.swapaxes(a.data, -1, -2))
-
-    def back():
-        a.accum_grad(np.swapaxes(out.grad, -1, -2))
-
-    out = DiffTensor._node(swapped, (a,), back)
-    return out
-
-
 def concat_channels(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     """Channel concatenation of NCHW tensors, `a` first; gradient splits exactly."""
     sa, sb = a.data.shape, b.data.shape
@@ -123,16 +93,6 @@ def concat_channels(a: DiffTensor, b: DiffTensor) -> DiffTensor:
 # ---------------------------------------------------------------------------
 # activations
 
-def tanh(x: DiffTensor) -> DiffTensor:
-    y = np.tanh(x.data)
-
-    def back():
-        x.accum_grad(out.grad * (1.0 - y * y))
-
-    out = DiffTensor._node(y, (x,), back)
-    return out
-
-
 def sigmoid_np(z: np.ndarray) -> np.ndarray:
     # branch form avoids overflow in exp for large |z|
     out = np.empty_like(z)
@@ -147,48 +107,89 @@ def sigmoid_np(z: np.ndarray) -> np.ndarray:
 # linear algebra
 
 def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    """(..., m, k) @ (k, n), or (..., m, k) @ (..., k, n) over equal leading axes.
+    """(..., m, k) @ (k, n): a matrix, or a stack of matrices that share `b`.
 
-    A 2-D `b` is shared by every matrix of the stack, so its gradient is one
-    GEMM over all rows of `a` flattened together.
+    `b`'s gradient is one GEMM over all rows of `a` flattened together.
     """
     sa, sb = a.data.shape, b.data.shape
-    if len(sa) < 2 or len(sb) < 2 or (len(sb) > 2 and sb[:-2] != sa[:-2]):
-        raise ShapeError(f"matmul expects matrices or equal stacks, got {sa} and {sb}")
-    if sa[-1] != sb[-2]:
+    if len(sa) < 2 or len(sb) != 2:
+        raise ShapeError(f"matmul expects a matrix or a stack of matrices times "
+                         f"one matrix, got {sa} and {sb}")
+    if sa[-1] != sb[0]:
         raise ShapeError(f"matmul: inner dimensions disagree, {sa} @ {sb}")
 
     def back():
         g = out.grad
         if a.requires_grad:
-            a.accum_grad(g @ np.swapaxes(b.data, -1, -2))
-        if not b.requires_grad:
-            return
-        if len(sb) == 2:
-            b.accum_grad(a.data.reshape(-1, sa[-1]).T @ g.reshape(-1, sb[-1]))
-        else:
-            b.accum_grad(np.swapaxes(a.data, -1, -2) @ g)
+            a.accum_grad(g @ b.data.T)
+        if b.requires_grad:
+            b.accum_grad(a.data.reshape(-1, sa[-1]).T @ g.reshape(-1, sb[1]))
 
     out = DiffTensor._node(a.data @ b.data, (a, b), back)
     return out
 
 
-def rowsoftmax(x: DiffTensor) -> DiffTensor:
-    """Softmax along the last axis of a matrix or a stack of matrices,
-    max-subtracted for stability."""
-    if x.data.ndim < 2:
-        raise ShapeError(f"rowsoftmax expects a matrix, got {x.data.shape}")
-    s = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+# ---------------------------------------------------------------------------
+# attention
+
+def attention_gate(q: DiffTensor, wq_w: DiffTensor, wq_b: DiffTensor,
+                   keys: DiffTensor, values: DiffTensor, mask=None) -> DiffTensor:
+    """The (n, c, h, w) text gate tanh(V^T softmax_l(K (Wq^T q + bq) / sqrt(c)
+    + mask)) of NCHW features q against each item's report tokens.
+
+    wq_w (c, c) is an (in, out) query projection with bias wq_b (c,); keys
+    and values are (n, l, c), one row per token; mask is None or an (n, l)
+    additive constant, 0 where a token may be attended. Forward and backward
+    keep q as (n, c, h*w) and the logits as (n, l, h*w), so the softmax
+    reduces across the l token rows over contiguous pixel runs.
+    NumericalError if a logit is not finite.
+    """
+    if q.data.ndim != 4:
+        raise ShapeError(f"attention_gate: q must be NCHW, got {q.data.shape}")
+    n, c, h, w = q.data.shape
+    if wq_w.data.shape != (c, c) or wq_b.data.shape != (c,):
+        raise ShapeError(f"attention_gate: query projection {wq_w.data.shape} with "
+                         f"bias {wq_b.data.shape} for {c} channels")
+    sk = keys.data.shape
+    if len(sk) != 3 or sk[0] != n or sk[1] < 1 or sk[2] != c:
+        raise ShapeError(f"attention_gate: keys {sk} for queries {q.data.shape}; "
+                         f"need ({n}, l >= 1, {c})")
+    if values.data.shape != sk:
+        raise ShapeError(f"attention_gate: values {values.data.shape} != keys {sk}")
+    if mask is not None and np.shape(mask) != sk[:2]:
+        raise ShapeError(f"attention_gate: mask {np.shape(mask)} != {sk[:2]}")
+    inv_sqrt_c = 1.0 / math.sqrt(c)
+    qf = q.data.reshape(n, c, h * w)
+    qp = wq_w.data.T @ qf + wq_b.data[:, None]            # (n, c, h*w)
+    a = keys.data @ qp                                     # (n, l, h*w)
+    a *= inv_sqrt_c
+    if mask is not None:
+        a += np.asarray(mask, dtype=a.dtype)[:, :, None]
+    if not np.all(np.isfinite(a)):
+        raise NumericalError("non-finite values in cross-attention logits")
+    a -= a.max(axis=1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=1, keepdims=True)                      # attention weights
+    gate = np.tanh(values.data.transpose(0, 2, 1) @ a)     # (n, c, h*w)
 
     def back():
-        g = out.grad
-        gx = g - (g * s).sum(axis=-1, keepdims=True)
-        gx *= s
-        x.accum_grad(gx)
+        gm = out.grad.reshape(n, c, h * w) * (1.0 - gate * gate)
+        if values.requires_grad:
+            values.accum_grad(a @ gm.transpose(0, 2, 1))
+        ga = values.data @ gm                              # (n, l, h*w)
+        gs = ga - (ga * a).sum(axis=1, keepdims=True)
+        gs *= a
+        gs *= inv_sqrt_c                                   # d(loss)/d(K qp)
+        if keys.requires_grad:
+            keys.accum_grad(gs @ qp.transpose(0, 2, 1))
+        gqp = keys.data.transpose(0, 2, 1) @ gs            # (n, c, h*w)
+        wq_b.accum_grad(gqp.sum(axis=(0, 2)))
+        wq_w.accum_grad((qf @ gqp.transpose(0, 2, 1)).sum(axis=0))
+        if q.requires_grad:
+            q.accum_grad((wq_w.data @ gqp).reshape(n, c, h, w))
 
-    out = DiffTensor._node(s, (x,), back)
+    out = DiffTensor._node(gate.reshape(n, c, h, w), (q, wq_w, wq_b, keys, values),
+                           back)
     return out
 
 
@@ -428,9 +429,3 @@ def bce_with_logits(logits: DiffTensor, targets) -> DiffTensor:
 
     out = DiffTensor._node(val, (logits,), back)
     return out
-
-
-def check_finite(t: DiffTensor, what: str = "tensor") -> DiffTensor:
-    if not np.all(np.isfinite(t.data)):
-        raise NumericalError(f"non-finite values in {what}")
-    return t

@@ -2,11 +2,12 @@
 
 The encoder is a standard double-conv stack with max-pool downsampling. On
 the way up, each level's upsampled features are gated by single-head
-cross-attention against the report's token embeddings: every pixel row
-attends over the tokens, the token-value mix is squashed through tanh, and
-the result multiplies the pixel features elementwise before the encoder skip
-is concatenated. The baseline swaps the gate for identity and shares every
-other parameter shape, so ablation deltas isolate the attention path.
+cross-attention against the report's token embeddings: every pixel attends
+over the tokens, the token-value mix is squashed through tanh, and the
+result multiplies the pixel features elementwise before the encoder skip is
+concatenated; its pixel side is one channel-major `attention_gate` node. The
+baseline swaps the gate for identity and shares every other parameter
+shape, so ablation deltas isolate the attention path.
 """
 
 from __future__ import annotations
@@ -163,14 +164,15 @@ def cross_attention(q_feat: DiffTensor, embs, params: CrossAttnParams,
                     ) -> DiffTensor:
     """Gate pixel features by attention over report tokens, batch at once.
 
-    Features Q (n,c,h,w) are flattened to pixel rows (n, h*w, c); each item's
-    token matrix E (l,d_e) is stacked to (n, l, d_e) and projected to
-    K = V in R^{n x l x c}. Every pixel row attends over its own item's tokens
-    (scaled dot product, softmax across the l tokens), and the value mix
-    passes through tanh before multiplying Q elementwise. With
-    attend_padding off, positions past each item's valid_len are masked out
-    pre-softmax (position 0 always stays attendable so all-pad reports remain
-    defined). `capture` receives item 0's input, tanh gate and output maps.
+    Each item's token matrix E (l, d_e) is stacked to (n, l, d_e) and
+    projected to T = E Wt + bt, keys T Wk + bk and values T Wv + bv, all
+    (n, l, c). One `attention_gate` node lets every pixel of Q (n, c, h, w)
+    attend over its own item's tokens (scaled dot product, softmax across
+    the l tokens) and squashes the value mix through tanh; the gate then
+    multiplies Q elementwise. With attend_padding off, positions past each
+    item's valid_len are masked out pre-softmax (position 0 always stays
+    attendable so all-pad reports remain defined). `capture` receives item
+    0's input, tanh gate and output maps.
     """
     n, c, h, w = q_feat.data.shape
     if isinstance(embs, ReportEmbedding):
@@ -178,29 +180,23 @@ def cross_attention(q_feat: DiffTensor, embs, params: CrossAttnParams,
     if len(embs) != n:
         raise ShapeError(f"{len(embs)} embeddings for batch of {n}")
     l, d_e = embs[0].matrix.shape
-    if l == 0:
-        raise ShapeError("cross_attention needs at least one token position")
     if params.tproj_w.data.shape != (d_e, c):
         raise ShapeError(
             f"text projection is {params.tproj_w.data.shape}, needs ({d_e}, {c})")
 
-    qbar = dc.transpose2(dc.reshape(q_feat, (n, c, h * w)))     # (n, h*w, c)
     e = DiffTensor(np.stack([emb.matrix for emb in embs]))      # frozen: no grad path
-    k = dc.add_rowvec(dc.matmul(e, params.tproj_w), params.tproj_b)
-    qp = dc.add_rowvec(dc.matmul(qbar, params.wq_w), params.wq_b)
-    kp = dc.add_rowvec(dc.matmul(k, params.wk_w), params.wk_b)
-    vp = dc.add_rowvec(dc.matmul(k, params.wv_w), params.wv_b)
-    logits = dc.scale(dc.matmul(qp, dc.transpose2(kp)), 1.0 / math.sqrt(c))
+    t = dc.add_rowvec(dc.matmul(e, params.tproj_w), params.tproj_b)
+    keys = dc.add_rowvec(dc.matmul(t, params.wk_w), params.wk_b)
+    values = dc.add_rowvec(dc.matmul(t, params.wv_w), params.wv_b)
+    mask = None
     if not attend_padding:
         valid = np.maximum([emb.valid_len for emb in embs], 1)
         mask = np.where(np.arange(l) < valid[:, None], 0.0, _MASK_NEG)
-        logits = dc.add_const(logits, mask[:, None, :])        # (n, 1, l)
-    dc.check_finite(logits, "cross-attention logits")
-    gate = dc.tanh(dc.matmul(dc.rowsoftmax(logits), vp))        # (n, h*w, c)
-    out = dc.reshape(dc.transpose2(dc.mul(gate, qbar)), (n, c, h, w))
+    gate = dc.attention_gate(q_feat, params.wq_w, params.wq_b, keys, values, mask)
+    out = dc.mul(gate, q_feat)
     if capture is not None:
         capture["q"] = q_feat.data[0].copy()
-        capture["tanh_a"] = gate.data[0].T.reshape(c, h, w).copy()
+        capture["tanh_a"] = gate.data[0].copy()
         capture["qstar"] = out.data[0].copy()
     return out
 

@@ -417,17 +417,23 @@ class TestElementwise:
         np.testing.assert_allclose(y[1], 1.0 / np.sqrt(1.0 + 1e-5), rtol=1e-6)
 
     def test_tanh_bounded(self, rng):
-        x = DiffTensor(rng.standard_normal(100) * 50)
-        assert np.all(np.abs(dc.tanh(x).data) <= 1.0)
-        assert dc.tanh(DiffTensor(np.zeros(1))).data[0] == 0.0
+        # the tanh stage of attention_gate: huge values saturate inside
+        # [-1, 1], and zero values give a gate of exactly 0
+        q, wq_w, wq_b, keys, values = (DiffTensor(a) for a in _gate_inputs(rng))
+        big = DiffTensor(values.data * 1e4)
+        assert np.all(np.abs(dc.attention_gate(q, wq_w, wq_b, keys, big).data) <= 1.0)
+        zero = DiffTensor(np.zeros(values.data.shape))
+        assert np.all(dc.attention_gate(q, wq_w, wq_b, keys, zero).data == 0.0)
 
     def test_gradients(self, verify64, rng):
-        params = {"x": DiffTensor(rng.standard_normal(40) + 0.1, requires_grad=True)}
-        grad_check(lambda: proj_loss(dc.tanh(params["x"])), params, num_coords=40)
+        params = {"a": DiffTensor(rng.standard_normal(20), requires_grad=True),
+                  "b": DiffTensor(rng.standard_normal(20), requires_grad=True)}
+        grad_check(lambda: proj_loss(dc.scale(dc.mul(params["a"], params["b"]), -1.5)),
+                   params, num_coords=40)
 
 
 # ---------------------------------------------------------------------------
-# matmul / rowsoftmax
+# matmul
 
 class TestMatmul:
     def test_identity(self, rng):
@@ -461,10 +467,8 @@ class TestMatmul:
         want = np.broadcast_to(b_const.sum(axis=1), (3, 4))
         np.testing.assert_allclose(a.grad, want, rtol=1e-9)
 
-    # Stacks of matrices: a shared 2-D right operand (a projection weight)
-    # and a per-item one (the attention logits and mix).
-    STACKS = [pytest.param((6, 5), id="shared-b"),
-              pytest.param((3, 6, 5), id="stacked-b")]
+    # A stack of matrices times one shared right operand (a projection weight).
+    STACKS = [pytest.param((6, 5), id="shared-b")]
 
     @pytest.mark.parametrize("b_shape", STACKS)
     def test_stack_matches_loop_oracle_per_item(self, rng, b_shape):
@@ -473,8 +477,8 @@ class TestMatmul:
         got = dc.matmul(DiffTensor(a), DiffTensor(b)).data
         assert got.shape == (3, 4, 5)
         for i in range(3):
-            want = matmul_loops(a[i], b if b.ndim == 2 else b[i])
-            np.testing.assert_allclose(got[i], want, atol=1e-6, rtol=1e-5)
+            np.testing.assert_allclose(got[i], matmul_loops(a[i], b),
+                                       atol=1e-6, rtol=1e-5)
 
     @pytest.mark.parametrize("b_shape", STACKS)
     def test_stack_gradients(self, verify64, rng, b_shape):
@@ -489,30 +493,17 @@ class TestMatmul:
 
         with pytest.raises(ShapeError, match="inner dimensions"):
             dc.matmul(z(3, 2, 3), z(4, 2))
-        with pytest.raises(ShapeError, match="inner dimensions"):
-            dc.matmul(z(3, 2, 3), z(3, 4, 2))
-        with pytest.raises(ShapeError, match="equal stacks"):
-            dc.matmul(z(3, 2, 3), z(2, 3, 2))
-        with pytest.raises(ShapeError, match="equal stacks"):
+        # the right operand is one matrix, never a stack
+        with pytest.raises(ShapeError, match="one matrix"):
+            dc.matmul(z(3, 2, 3), z(3, 3, 2))
+        with pytest.raises(ShapeError, match="one matrix"):
             dc.matmul(z(2, 3), z(2, 3, 2))
-        with pytest.raises(ShapeError, match="equal stacks"):
+        with pytest.raises(ShapeError, match="one matrix"):
             dc.matmul(z(2, 3), z(3))
+        with pytest.raises(ShapeError, match="one matrix"):
+            dc.matmul(z(3), z(3, 2))
 
-    # transpose2 and add_rowvec, the other two ops of an attention projection
-
-    def test_transpose2_swaps_last_two_axes(self, verify64, rng):
-        x = rng.standard_normal((3, 2, 5))
-        got = dc.transpose2(DiffTensor(x)).data
-        assert got.shape == (3, 5, 2)
-        for i in range(3):
-            np.testing.assert_array_equal(got[i], x[i].T)
-        params = {"x": DiffTensor(x, requires_grad=True)}
-        grad_check(lambda: proj_loss(dc.transpose2(params["x"])), params,
-                   num_coords=30)
-
-    def test_transpose2_rejects_vector(self):
-        with pytest.raises(ShapeError, match="matrix"):
-            dc.transpose2(DiffTensor(np.zeros(4)))
+    # add_rowvec, the other op of a token projection
 
     def test_add_rowvec_stack(self, verify64, rng):
         a = rng.standard_normal((3, 4, 5))
@@ -533,47 +524,152 @@ class TestMatmul:
             dc.add_rowvec(DiffTensor(np.zeros(5)), DiffTensor(np.zeros(5)))
 
 
+# ---------------------------------------------------------------------------
+# attention_gate
+
+def _gate_inputs(rng, n=2, c=3, hw=(2, 3), l=4):
+    """q, wq_w, wq_b, keys and values of an attention_gate, as arrays."""
+    return (rng.standard_normal((n, c, *hw)), rng.standard_normal((c, c)),
+            rng.standard_normal(c), rng.standard_normal((n, l, c)),
+            rng.standard_normal((n, l, c)))
+
+
+def _pad_mask(valid, l):
+    """The additive mask cross_attention builds: tokens past `valid` masked."""
+    return np.where(np.arange(l) < np.asarray(valid)[:, None], 0.0, -1e30)
+
+
+def softmax_gate(q, mask=None):
+    """attention_gate over (n, l, h, w) q with c = l channels, an identity
+    query projection, keys sqrt(l) I and identity values: the logits are q
+    itself, and the gate is tanh of the attention weights."""
+    n, l = q.data.shape[:2]
+    eye = np.eye(l)
+    return dc.attention_gate(q, DiffTensor(eye), DiffTensor(np.zeros(l)),
+                             DiffTensor(np.broadcast_to(np.sqrt(l) * eye, (n, l, l))),
+                             DiffTensor(np.broadcast_to(eye, (n, l, l))), mask)
+
+
+def token_softmax(logits, mask=None):
+    """The attention weights of (n, l, p) logits, read back through arctanh."""
+    n, l, p = logits.shape
+    gate = softmax_gate(DiffTensor(logits.reshape(n, l, 1, p)), mask)
+    return np.arctanh(gate.data.reshape(n, l, p).astype(np.float64))
+
+
 class TestRowsoftmax:
+    """The token softmax stage of attention_gate: per pixel, across tokens."""
+
     def test_uniform(self):
-        y = dc.rowsoftmax(DiffTensor(np.zeros((1, 2)))).data
-        np.testing.assert_allclose(y, [[0.5, 0.5]])
+        np.testing.assert_allclose(token_softmax(np.zeros((1, 2, 1))), 0.5, rtol=1e-6)
 
     def test_shift_invariance(self, rng):
-        x = rng.standard_normal((4, 6)).astype(np.float32)
-        a = dc.rowsoftmax(DiffTensor(x)).data
-        b = dc.rowsoftmax(DiffTensor(x + 7.5)).data
+        x = rng.standard_normal((1, 6, 4)).astype(np.float32)
+        a = token_softmax(x)
+        b = token_softmax(x, mask=np.full((1, 6), 7.5))
         np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_direct_exponentiation(self):
-        got = dc.rowsoftmax(DiffTensor(np.array([[1.0, 2.0, 3.0]]))).data[0]
+        got = token_softmax(np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1))[0, :, 0]
         np.testing.assert_allclose(
             got, [0.09003057, 0.24472847, 0.66524096], atol=1e-6)
         np.testing.assert_allclose(
             got, rowsoftmax_direct(np.array([[1.0, 2.0, 3.0]]))[0], atol=1e-6)
 
     def test_rows_sum_to_one(self, rng):
-        x = rng.standard_normal((30, 8)).astype(np.float32) * 10
-        y = dc.rowsoftmax(DiffTensor(x)).data
-        np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-6)
+        x = rng.standard_normal((2, 8, 15)).astype(np.float32) * 10
+        y = token_softmax(x)
+        np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-5)
         assert np.all(y >= 0)
 
     def test_gradients(self, verify64, rng):
-        params = {"x": DiffTensor(rng.standard_normal((3, 5)), requires_grad=True)}
-        grad_check(lambda: proj_loss(dc.rowsoftmax(params["x"])), params,
+        # the path from logits to gate alone: keys and values held constant
+        params = {"x": DiffTensor(rng.standard_normal((1, 5, 1, 3)) * 5,
+                                  requires_grad=True)}
+        grad_check(lambda: proj_loss(softmax_gate(params["x"])), params,
                    num_coords=15)
 
     def test_stack_matches_direct_per_matrix(self, verify64, rng):
-        x = rng.standard_normal((3, 4, 6)) * 5
-        got = dc.rowsoftmax(DiffTensor(x)).data
-        for i in range(3):
-            np.testing.assert_allclose(got[i], rowsoftmax_direct(x[i]), atol=1e-12)
-        params = {"x": DiffTensor(x, requires_grad=True)}
-        grad_check(lambda: proj_loss(dc.rowsoftmax(params["x"])), params,
-                   num_coords=72)
+        x = rng.standard_normal((3, 6, 4)) * 5
+        valid = [6, 2, 1]
+        got = token_softmax(x, _pad_mask(valid, 6))
+        for i, v in enumerate(valid):
+            np.testing.assert_allclose(got[i, :v], rowsoftmax_direct(x[i, :v].T).T,
+                                       atol=1e-12)
+            assert np.all(got[i, v:] == 0.0)
 
-    def test_rejects_vector(self):
-        with pytest.raises(ShapeError, match="matrix"):
-            dc.rowsoftmax(DiffTensor(np.zeros(4)))
+    def test_rejects_vector(self, rng):
+        q, wq_w, wq_b, keys, values = (DiffTensor(a) for a in _gate_inputs(rng))
+        with pytest.raises(ShapeError, match="keys"):
+            dc.attention_gate(q, wq_w, wq_b, DiffTensor(np.zeros(3)), values)
+
+
+def attention_gate_loops(q, wq_w, wq_b, keys, values, mask=None):
+    """attention_gate one pixel at a time, in float64."""
+    n, c, h, w = q.shape
+    l = keys.shape[1]
+    mask = np.zeros((n, l)) if mask is None else mask
+    out = np.zeros(q.shape)
+    for i in range(n):
+        for y in range(h):
+            for x in range(w):
+                query = q[i, :, y, x] @ wq_w + wq_b
+                scores = keys[i] @ query / math.sqrt(c) + mask[i]
+                weights = rowsoftmax_direct(scores[None])[0]
+                out[i, :, y, x] = np.tanh(weights @ values[i])
+    return out
+
+
+class TestAttentionGate:
+    @pytest.mark.parametrize("valid", [None, [4, 1]], ids=["all-tokens", "masked"])
+    def test_matches_per_pixel_oracle(self, verify64, rng, valid):
+        arrays = _gate_inputs(rng, hw=(3, 5))
+        mask = None if valid is None else _pad_mask(valid, 4)
+        got = dc.attention_gate(*(DiffTensor(a) for a in arrays), mask).data
+        np.testing.assert_allclose(got, attention_gate_loops(*arrays, mask),
+                                   rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("valid", [None, [4, 2]], ids=["all-tokens", "masked"])
+    def test_gradients(self, verify64, rng, valid):
+        names = ("q", "wq_w", "wq_b", "keys", "values")
+        params = {k: DiffTensor(a, requires_grad=True)
+                  for k, a in zip(names, _gate_inputs(rng))}
+        mask = None if valid is None else _pad_mask(valid, 4)
+        report = finite_diff_check(
+            lambda: proj_loss(dc.attention_gate(*params.values(), mask)), params,
+            eps=1e-5, num_coords=200)
+        assert {c.param for c in report.checks} == set(names)
+        for c in report.checks:
+            if valid is not None and c.param in ("keys", "values") and \
+                    c.index[1] >= valid[c.index[0]]:
+                # a masked token gets weight exactly 0, and no gradient
+                assert c.analytic == 0.0 and abs(c.numeric) < 1e-9, c
+            else:
+                assert c.rel_err < 1e-6, c
+
+    def test_one_node_over_the_gate_inputs(self, rng):
+        inputs = [DiffTensor(a, requires_grad=True) for a in _gate_inputs(rng)]
+        out = dc.attention_gate(*inputs)
+        assert out.data.shape == inputs[0].data.shape
+        assert [id(p) for p in out._parents] == [id(t) for t in inputs]
+
+    def test_shape_errors(self, rng):
+        q, wq_w, wq_b, keys, values = (DiffTensor(a) for a in _gate_inputs(rng))
+        flat = DiffTensor(q.data.reshape(2, 3, 6))
+        with pytest.raises(ShapeError, match="NCHW"):
+            dc.attention_gate(flat, wq_w, wq_b, keys, values)
+        with pytest.raises(ShapeError, match="query projection"):
+            dc.attention_gate(q, DiffTensor(np.zeros((3, 2))), wq_b, keys, values)
+        with pytest.raises(ShapeError, match="query projection"):
+            dc.attention_gate(q, wq_w, DiffTensor(np.zeros(2)), keys, values)
+        with pytest.raises(ShapeError, match="keys"):
+            dc.attention_gate(q, wq_w, wq_b, DiffTensor(keys.data[:1]), values)
+        with pytest.raises(ShapeError, match="keys"):
+            dc.attention_gate(q, wq_w, wq_b, DiffTensor(keys.data[:, :0]), values)
+        with pytest.raises(ShapeError, match="values"):
+            dc.attention_gate(q, wq_w, wq_b, keys, DiffTensor(values.data[:, :3]))
+        with pytest.raises(ShapeError, match="mask"):
+            dc.attention_gate(q, wq_w, wq_b, keys, values, np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +761,8 @@ class TestBackward:
 
     def test_accumulation_over_shared_leaf(self):
         x = DiffTensor(np.array(2.0), requires_grad=True)
-        backward(dc.mul(x, dc.add_const(x, 1.0)))   # d(x^2 + x)/dx = 2x + 1
-        assert float(x.grad) == 5.0
+        backward(dc.mul(x, dc.scale(x, 3.0)))   # d(3x^2)/dx = 6x
+        assert float(x.grad) == 12.0
 
     def test_second_backward_rejected(self):
         x = DiffTensor(np.array(2.0), requires_grad=True)
@@ -678,12 +774,12 @@ class TestBackward:
     def test_graph_released_after_backward(self):
         # no closure keeps its node alive, so the graph needs no cyclic collection
         x = DiffTensor(np.array(2.0), requires_grad=True)
-        y = dc.add_const(x, 1.0)
+        y = dc.scale(x, 3.0)
         loss = dc.mul(x, y)
         backward(loss)
         for t in (y, loss):
             assert t._backward is None and t._parents == ()
-        assert float(x.grad) == 5.0
+        assert float(x.grad) == 12.0
 
     def test_non_scalar_loss_rejected(self):
         x = DiffTensor(np.ones(3), requires_grad=True)
@@ -699,17 +795,15 @@ def _const(*shape):
 CONSTANT_INPUT_OPS = {
     "mul": lambda: dc.mul(_const(2, 3), _const(2, 3)),
     "scale": lambda: dc.scale(_const(2, 3), 2.0),
-    "add_const": lambda: dc.add_const(_const(2, 3), 1.0),
     "add_rowvec": lambda: dc.add_rowvec(_const(2, 3), _const(3)),
     "sum_all": lambda: dc.sum_all(_const(2, 3)),
     "mean_all": lambda: dc.mean_all(_const(2, 3)),
-    "reshape": lambda: dc.reshape(_const(2, 3), (3, 2)),
-    "transpose2": lambda: dc.transpose2(_const(2, 3)),
     "concat_channels": lambda: dc.concat_channels(_const(1, 2, 2, 2),
                                                   _const(1, 3, 2, 2)),
-    "tanh": lambda: dc.tanh(_const(2, 3)),
     "matmul": lambda: dc.matmul(_const(2, 3), _const(3, 4)),
-    "rowsoftmax": lambda: dc.rowsoftmax(_const(2, 3)),
+    "attention_gate": lambda: dc.attention_gate(
+        _const(2, 3, 2, 2), _const(3, 3), _const(3), _const(2, 4, 3), _const(2, 4, 3),
+        np.zeros((2, 4))),
     "conv2d": lambda: dc.conv2d(_const(1, 2, 4, 4), _const(3, 2, 3, 3), _const(3)),
     "conv_bn_relu": lambda: dc.conv_bn_relu(
         _const(2, 2, 2, 2), _const(3, 2, 3, 3), _const(3), DiffTensor(np.ones(3)),

@@ -5,7 +5,7 @@ import pytest
 
 import ctxseg.diffcore as dc
 from ctxseg.diffcore import DiffTensor, backward
-from ctxseg.errors import ShapeError
+from ctxseg.errors import NumericalError, ShapeError
 from ctxseg.model import (CrossAttnParams, ModelConfig, _double_conv,
                           cross_attention, init_weights, predict_mask,
                           text_gated_forward, unet_forward, weight_shapes)
@@ -177,6 +177,13 @@ class TestCrossAttention:
         masked2 = cross_attention(q, emb_bad, params, attend_padding=False).data
         np.testing.assert_array_equal(masked, masked2)
 
+    def test_non_finite_logits_raise(self, rng):
+        params = CrossAttnParams.from_weights(init_weights(tiny_config()), 1)
+        params.wq_w.data[0, 0] = np.inf
+        q = DiffTensor(rng.standard_normal((1, 4, 8, 8)))
+        with pytest.raises(NumericalError, match="cross-attention logits"):
+            cross_attention(q, make_emb(), params)
+
     def test_no_gradient_into_embeddings(self, rng):
         cfg = tiny_config()
         w = init_weights(cfg)
@@ -288,6 +295,22 @@ class TestForwardPasses:
         emb2 = ReportEmbedding(matrix=emb.matrix[perm], valid_len=emb.valid_len)
         out2 = text_gated_forward(img, emb2, w, cfg).data
         np.testing.assert_allclose(out1, out2, atol=1e-6)
+
+    # A contralateral negation and its side-swapped twin hold the same tokens,
+    # so the bag-of-tokens text path cannot tell the opposite sides apart.
+    NEGATION_TWINS = ("No left pneumothorax. There is a small right apical pneumothorax.",
+                      "No right pneumothorax. There is a small left apical pneumothorax.")
+
+    @pytest.mark.parametrize("attend_padding", [True, False])
+    def test_contralateral_negation_twins_give_the_same_mask(self, rng,
+                                                               attend_padding):
+        cfg = ModelConfig(attend_padding=attend_padding)
+        w = init_weights(cfg)
+        img = rng.random((1, 1, 64, 64)).astype(np.float32)
+        a, b = (text_gated_forward(img, make_emb(text, cfg), w, cfg).data
+                for text in self.NEGATION_TWINS)
+        np.testing.assert_allclose(a, b, atol=1e-6)
+        np.testing.assert_array_equal(predict_mask(a), predict_mask(b))
 
     def test_unet_params_strictly_fewer(self):
         cfg = tiny_config()
