@@ -71,7 +71,6 @@ class GeneratorConfig:
     n: int = 1024
     present_fraction: float = 1.0
     ambiguous_fraction: float = 0.75
-    distractor_contrast: float = 1.0
 
 
 @dataclass
@@ -137,8 +136,7 @@ def generate_sample(seed: int, cfg: GeneratorConfig) -> Sample:
         if ambiguous:
             mirror_cx = (s - 1) - cx_c
             twin = _crescent(xx, yy, mirror_cx, cy_c, r, bite)
-            image += (0.20 * cfg.distractor_contrast
-                      * gaussian_filter(twin.astype(np.float64), sigma=0.7))
+            image += 0.20 * gaussian_filter(twin.astype(np.float64), sigma=0.7)
         attrs = SampleAttrs(True, side, zone, size, ambiguous)
         finding = FINDING_TEMPLATES[rng.integers(len(FINDING_TEMPLATES))].format(
             size=size, side=side, zone=zone)

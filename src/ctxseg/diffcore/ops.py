@@ -71,26 +71,6 @@ def mean_all(a: DiffTensor) -> DiffTensor:
 
 
 # ---------------------------------------------------------------------------
-# shape plumbing
-
-def concat_channels(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    """Channel concatenation of NCHW tensors, `a` first; gradient splits exactly."""
-    sa, sb = a.data.shape, b.data.shape
-    if len(sa) != 4 or len(sb) != 4:
-        raise ShapeError(f"concat_channels expects NCHW, got {sa} and {sb}")
-    if sa[0] != sb[0] or sa[2:] != sb[2:]:
-        raise ShapeError(f"concat_channels: batch/spatial mismatch {sa} vs {sb}")
-    ca = sa[1]
-
-    def back():
-        a.accum_grad(out.grad[:, :ca])
-        b.accum_grad(out.grad[:, ca:])
-
-    out = DiffTensor._node(np.concatenate([a.data, b.data], axis=1), (a, b), back)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # activations
 
 def sigmoid_np(z: np.ndarray) -> np.ndarray:
@@ -203,22 +183,29 @@ def _tap_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b if a.shape[-1] == 1 else a @ b
 
 
-def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str):
+def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str,
+          skip: DiffTensor | None = None):
     """Stride-1 cross-correlation of NCHW `x` with an odd k x k OIHW kernel,
-    zero-padded by k // 2 so height and width are kept, plus bias.
+    zero-padded by k // 2 so height and width are kept, plus bias. A `skip`
+    of x's batch and size is padded into the same buffer, after x's channels.
 
-    Returns (y, back), where back(g) accumulates the gradients of x, weight
-    and bias for output gradient g. Runs one GEMM per kernel tap on the padded
-    input flattened to (N, Cin, Hp*Wp): output position p on the padded-width
-    grid reads tap (di, dj) at flat index p + di*Wp + dj, so each tap is a
-    contiguous slice. `back` holds the padded input and the tap-major kernel,
-    nothing the size of a column matrix. `op` names the caller in errors.
+    Returns (y, back): back(g) accumulates the gradients of x, skip, weight
+    and bias for output gradient g, and is None when none of them needs one.
+    Runs one GEMM per kernel tap on the padded input flattened to (N, Cin,
+    Hp*Wp): output position p on the padded-width grid reads tap (di, dj) at
+    flat index p + di*Wp + dj, so each tap is a contiguous slice. `back`
+    holds the padded input and the tap-major kernel, nothing the size of a
+    column matrix. `op` names the caller in errors.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"{op} input must be NCHW, got {x.data.shape}")
     if weight.data.ndim != 4:
         raise ShapeError(f"{op} weight must be OIHW, got {weight.data.shape}")
-    n, cin, h, w = x.data.shape
+    n, cx, h, w = x.data.shape
+    if skip is not None and skip.data.shape[:1] + skip.data.shape[2:] != (n, h, w):
+        raise ShapeError(f"{op}: skip {skip.data.shape} does not match input "
+                         f"{x.data.shape} in batch or spatial size")
+    cin = cx if skip is None else cx + skip.data.shape[1]
     cout, cin_w, kh, kw = weight.data.shape
     if kh != kw or kh % 2 == 0:
         raise ShapeError(f"{op} kernel must be square and odd, got {kh}x{kw}")
@@ -229,9 +216,11 @@ def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str):
         raise ShapeError(f"{op}: bias shape {bias.data.shape} != ({cout},)")
     k, pad = kh, kh // 2
     hp, wp = h + 2 * pad, w + 2 * pad
-    if pad:
+    if pad or skip is not None:
         xp = np.zeros((n, cin, hp, wp), dtype=x.data.dtype)
-        xp[:, :, pad:pad + h, pad:pad + w] = x.data
+        xp[:, :cx, pad:pad + h, pad:pad + w] = x.data
+        if skip is not None:
+            xp[:, cx:, pad:pad + h, pad:pad + w] = skip.data
     else:
         xp = x.data
     xf = xp.reshape(n, cin, hp * wp)
@@ -244,6 +233,9 @@ def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str):
     for di, dj, off in taps:
         yd[:, :, :span] += _tap_gemm(wt[di, dj], xf[:, :, off:off + span])
     y = yd.reshape(n, cout, h, wp)[:, :, :, :w] + bias.data[None, :, None, None]
+    input_grad = x.requires_grad or (skip is not None and skip.requires_grad)
+    if not (input_grad or weight.requires_grad or bias.requires_grad):
+        return y, None
 
     def back(g):
         bias.accum_grad(g.sum(axis=(0, 2, 3)))
@@ -251,7 +243,7 @@ def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str):
         gd.reshape(n, cout, h, wp)[:, :, :, :w] = g
         ga = gd[:, :, :span]
         gw = np.empty_like(wt)
-        gxf = np.zeros_like(xf) if x.requires_grad else None
+        gxf = np.zeros_like(xf) if input_grad else None
         for di, dj, off in taps:
             xs = xf[:, :, off:off + span]
             gw[di, dj] = (ga @ xs.transpose(0, 2, 1)).sum(axis=0)
@@ -259,7 +251,10 @@ def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str):
                 gxf[:, :, off:off + span] += _tap_gemm(wt[di, dj].T, ga)
         weight.accum_grad(gw.transpose(2, 3, 0, 1))
         if gxf is not None:
-            x.accum_grad(gxf.reshape(n, cin, hp, wp)[:, :, pad:pad + h, pad:pad + w])
+            gx = gxf.reshape(n, cin, hp, wp)[:, :, pad:pad + h, pad:pad + w]
+            x.accum_grad(gx[:, :cx])
+            if skip is not None:
+                skip.accum_grad(gx[:, cx:])
 
     return y, back
 
@@ -283,18 +278,20 @@ _BN_EPS = 1e-5
 
 def conv_bn_relu(x: DiffTensor, weight: DiffTensor, bias: DiffTensor,
                  gamma: DiffTensor, beta: DiffTensor, running_mean: DiffTensor,
-                 running_var: DiffTensor, train: bool) -> DiffTensor:
+                 running_var: DiffTensor, train: bool,
+                 skip: DiffTensor | None = None) -> DiffTensor:
     """One U-Net conv sublayer as one graph node: relu(batchnorm(conv2d(x))).
 
-    The conv is `conv2d`'s. Batch normalization is per channel. Train mode
-    normalizes with the batch statistics and updates the running buffers in
-    place as running <- 0.9 * running + 0.1 * batch; eval mode reads the
-    running buffers only. Variances are population (biased) in both modes,
-    and eps is 1e-5. Backward masks the output gradient where the ReLU
-    clamped, takes it through batch normalization and hands the result
-    straight to the conv's gradient.
+    The conv is `conv2d`'s; a decoder sublayer passes the encoder `skip`,
+    which the conv reads as channels after x's. Batch normalization is per
+    channel. Train mode normalizes with the batch statistics and updates
+    the running buffers in place as running <- 0.9 * running + 0.1 * batch;
+    eval mode reads the running buffers only. Variances are population
+    (biased) in both modes, and eps is 1e-5. Backward masks the output
+    gradient where the ReLU clamped, takes it through batch normalization
+    and hands the result straight to the conv's gradient.
     """
-    z, conv_back = _conv(x, weight, bias, "conv_bn_relu")
+    z, conv_back = _conv(x, weight, bias, "conv_bn_relu", skip)
     n, c, h, w = z.shape
     for name, t in (("gamma", gamma), ("beta", beta),
                     ("running_mean", running_mean), ("running_var", running_var)):
@@ -328,6 +325,8 @@ def conv_bn_relu(x: DiffTensor, weight: DiffTensor, bias: DiffTensor,
         go = out.grad * (out.data > 0)
         gamma.accum_grad((go * xhat).sum(axis=(0, 2, 3)))
         beta.accum_grad(go.sum(axis=(0, 2, 3)))
+        if conv_back is None:
+            return
         gi = gamma.data[None, :, None, None] * inv
         if train:
             mg = go.mean(axis=(0, 2, 3))[None, :, None, None]
@@ -336,29 +335,36 @@ def conv_bn_relu(x: DiffTensor, weight: DiffTensor, bias: DiffTensor,
         else:
             conv_back(gi * go)
 
-    out = DiffTensor._node(y, (x, weight, bias, gamma, beta), back)
+    inputs = (x,) if skip is None else (x, skip)
+    out = DiffTensor._node(y, (*inputs, weight, bias, gamma, beta), back)
     return out
 
 
 def maxpool2(x: DiffTensor) -> DiffTensor:
-    """2x2 max pooling, stride 2; gradient goes to the first max in each window."""
+    """2x2 max pooling, stride 2: the elementwise max of x's four strided
+    views. Backward routes each window's gradient to its first max in
+    row-major order, through a running mask of the windows not yet served."""
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2 input must be NCHW, got {x.data.shape}")
     n, c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 needs even spatial extents, got {h}x{w}")
-    win = x.data.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = win.reshape(n, c, h // 2, w // 2, 4)      # window in row-major order
-    arg = win.argmax(axis=-1)                       # first max wins ties
-    y = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    corners = [(i, j) for i in range(2) for j in range(2)]   # row-major
+    y = x.data[:, :, 0::2, 0::2].copy()
+    for i, j in corners[1:]:
+        np.maximum(y, x.data[:, :, i::2, j::2], out=y)
 
     def back():
-        gwin = np.zeros_like(win)
-        np.put_along_axis(gwin, arg[..., None], out.grad[..., None], axis=-1)
-        gx = gwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        x.accum_grad(gx.reshape(n, c, h, w))
+        gx = np.empty_like(x.data)                  # the corners tile it
+        unserved = np.ones(y.shape, dtype=bool)
+        for i, j in corners:
+            hit = x.data[:, :, i::2, j::2] == y
+            hit &= unserved
+            np.multiply(out.grad, hit, out=gx[:, :, i::2, j::2])
+            unserved ^= hit
+        x.accum_grad(gx)
 
-    out = DiffTensor._node(np.ascontiguousarray(y), (x,), back)
+    out = DiffTensor._node(y, (x,), back)
     return out
 
 
@@ -366,8 +372,9 @@ def upconv2(x: DiffTensor, weight: DiffTensor, bias: DiffTensor) -> DiffTensor:
     """Transposed convolution with a 2x2 kernel at stride 2: doubles H and W.
 
     Weight layout is (C_in, C_out, 2, 2). Stride equals the kernel size, so
-    output windows do not overlap and each output pixel has exactly one source.
-    """
+    each output pixel has exactly one source, and the op is one GEMM per item
+    with the kernel as a (C_in, 4*C_out) matrix; backward is one GEMM for the
+    weight and one for the input."""
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(f"upconv2: need NCHW input and IOHW weight, got "
                          f"{x.data.shape} and {weight.data.shape}")
@@ -380,28 +387,22 @@ def upconv2(x: DiffTensor, weight: DiffTensor, bias: DiffTensor) -> DiffTensor:
     if bias.data.shape != (cout,):
         raise ShapeError(f"upconv2: bias shape {bias.data.shape} != ({cout},)")
 
+    wm = weight.data.reshape(cin, cout * 4)    # column (co, di, dj): corner (di, dj)
+    xf = x.data.reshape(n, cin, h * w)
+    t = (wm.T @ xf).reshape(n, cout, 2, 2, h, w)
     y = np.empty((n, cout, 2 * h, 2 * w), dtype=x.data.dtype)
-    for di in range(2):
-        for dj in range(2):
-            t = np.tensordot(x.data, weight.data[:, :, di, dj], axes=([1], [0]))
-            y[:, :, di::2, dj::2] = t.transpose(0, 3, 1, 2) + bias.data[None, :, None, None]
+    for di, dj in np.ndindex(2, 2):
+        np.add(t[:, :, di, dj], bias.data[:, None, None], out=y[:, :, di::2, dj::2])
 
     def back():
-        gx = np.zeros_like(x.data) if x.requires_grad else None
-        gw = np.zeros_like(weight.data)
-        gb = np.zeros(cout, dtype=x.data.dtype)
-        for di in range(2):
-            for dj in range(2):
-                gs = out.grad[:, :, di::2, dj::2]           # (n, cout, h, w)
-                gb += gs.sum(axis=(0, 2, 3))
-                gw[:, :, di, dj] = np.tensordot(x.data, gs, axes=([0, 2, 3], [0, 2, 3]))
-                if gx is not None:
-                    gx += np.tensordot(gs, weight.data[:, :, di, dj],
-                                       axes=([1], [1])).transpose(0, 3, 1, 2)
-        bias.accum_grad(gb)
-        weight.accum_grad(gw)
-        if gx is not None:
-            x.accum_grad(gx)
+        g = out.grad
+        gt = g.reshape(n, cout, h, 2, w, 2).transpose(0, 1, 3, 5, 2, 4)
+        gt = gt.reshape(n, cout * 4, h * w)
+        bias.accum_grad(g.sum(axis=(0, 2, 3)))
+        weight.accum_grad((xf @ gt.transpose(0, 2, 1)).sum(axis=0)
+                          .reshape(cin, cout, 2, 2))
+        if x.requires_grad:
+            x.accum_grad((wm @ gt).reshape(n, cin, h, w))
 
     out = DiffTensor._node(y, (x, weight, bias), back)
     return out

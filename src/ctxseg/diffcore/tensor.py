@@ -5,20 +5,17 @@ its output's gradient closure to `DiffTensor._node`, which keeps the closure
 and the parent links only when some parent requires a gradient, so a forward
 pass over tensors that need none records no graph. `backward()` runs the
 closures once each in reverse topological order. Arithmetic is float32 by
-default; setting the environment variable CTXN_VERIFY=1 (or calling
-`set_verify(True)`) switches new tensors to float64 for gradient
+default; `set_verify(True)` switches new tensors to float64 for gradient
 verification.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from ..errors import GraphError, ShapeError
 
-_DTYPE = np.float64 if os.environ.get("CTXN_VERIFY") == "1" else np.float32
+_DTYPE = np.float32
 
 
 def set_verify(enabled: bool) -> None:

@@ -4,8 +4,9 @@ The encoder is a standard double-conv stack with max-pool downsampling. On
 the way up, each level's upsampled features are gated by single-head
 cross-attention against the report's token embeddings: every pixel attends
 over the tokens, the token-value mix is squashed through tanh, and the
-result multiplies the pixel features elementwise before the encoder skip is
-concatenated; its pixel side is one channel-major `attention_gate` node. The
+result multiplies the pixel features elementwise; its pixel side is one
+channel-major `attention_gate` node. The decoder's first conv reads the gated
+features and the encoder skip side by side on the channel axis. The
 baseline swaps the gate for identity and shares every other parameter
 shape, so ablation deltas isolate the attention path.
 """
@@ -27,7 +28,6 @@ from .util import fnv1a_str, rng_from
 @dataclass
 class ModelConfig:
     image_size: int = 64
-    depth: int = 3
     channels: list = field(default_factory=lambda: [8, 16, 32])
     bottleneck: int = 64
     d_e: int = 32
@@ -37,9 +37,8 @@ class ModelConfig:
     embed_seed: int = 7001
 
     def __post_init__(self):
-        if len(self.channels) != self.depth:
-            raise ValueError(
-                f"channels has {len(self.channels)} entries for depth {self.depth}")
+        if not self.channels:
+            raise ValueError("channels needs at least one encoder level")
         ladder = list(self.channels) + [self.bottleneck]
         if any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ValueError(f"channel ladder must be strictly increasing: {ladder}")
@@ -48,6 +47,11 @@ class ModelConfig:
                 f"image_size {self.image_size} not divisible by 2^{self.depth}")
         if self.d_e < 1 or self.max_tokens < 1:
             raise ValueError("d_e and max_tokens must be at least 1")
+
+    @property
+    def depth(self) -> int:
+        """Encoder levels above the bottleneck: one per `channels` entry."""
+        return len(self.channels)
 
     def level_channels(self, i: int) -> int:
         """Channel count at level i, where level depth+1 is the bottleneck."""
@@ -143,16 +147,18 @@ def init_weights(cfg: ModelConfig, with_attention: bool = True) -> dict:
 # ---------------------------------------------------------------------------
 # forward passes
 
-def _double_conv(x, weights, prefix, train):
+def _double_conv(x, weights, prefix, train, skip=None):
     """Two conv3x3 -> batchnorm -> ReLU sublayers, one `conv_bn_relu` graph
-    node each; spatial size preserved."""
+    node each; spatial size preserved. The first sublayer also reads `skip`,
+    as channels after x's."""
     for j in (1, 2):
         x = dc.conv_bn_relu(x, weights[f"{prefix}.conv{j}.w"],
                             weights[f"{prefix}.conv{j}.b"],
                             weights[f"{prefix}.bn{j}.gamma"],
                             weights[f"{prefix}.bn{j}.beta"],
                             weights[f"{prefix}.bn{j}.mean"],
-                            weights[f"{prefix}.bn{j}.var"], train)
+                            weights[f"{prefix}.bn{j}.var"], train, skip)
+        skip = None
     return x
 
 
@@ -229,8 +235,7 @@ def _updown(image, embs, weights, cfg, train, capture, use_attention):
                 capture[i] = cap_i
         else:
             g = u
-        x = _double_conv(dc.concat_channels(g, skips[i - 1]), weights,
-                         f"dec{i}", train)
+        x = _double_conv(g, weights, f"dec{i}", train, skip=skips[i - 1])
     return dc.conv2d(x, weights["head.w"], weights["head.b"])
 
 

@@ -219,9 +219,6 @@ def train(cfg: TrainConfig, dataset, out_dir, fold_seed: int | None = None
             if best_state is None:
                 best_dice, best_epoch, best_state = 0.0, epoch, _snapshot(weights)
 
-    if best_state is None:     # epochs == 0 can't happen (validated); safety net
-        best_epoch, best_state = cfg.epochs - 1, _snapshot(weights)
-
     ckpt_path = out_dir / "checkpoint.ctxn"
     dc.save_checkpoint(ckpt_path, best_state)
 

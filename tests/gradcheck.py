@@ -1,7 +1,8 @@
 """Central finite-difference verification of analytic gradients.
 
-Meant to run in 64-bit verification mode (CTXN_VERIFY=1 or set_verify(True));
-in 32-bit mode the difference quotient itself is too noisy to certify anything.
+Meant to run in 64-bit verification mode (set_verify(True), as the
+`verify64` fixture in conftest.py does); in 32-bit mode the difference
+quotient itself is too noisy to certify anything.
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ from ctxseg.data import (GeneratorConfig, encode_image, generate_dataset,
 from ctxseg.diffcore import save_checkpoint
 from ctxseg.model import ModelConfig, init_weights
 
-SMALL_MODEL = ["model.image_size=32", "model.depth=2", "model.channels=[4,8]",
-               "model.bottleneck=16", "model.d_e=8", "model.max_tokens=16"]
-SMALL_MC = ModelConfig(image_size=32, depth=2, channels=[4, 8], bottleneck=16,
-                       d_e=8, max_tokens=16)
+SMALL_MODEL = ["model.image_size=32", "model.channels=[4,8]", "model.bottleneck=16",
+               "model.d_e=8", "model.max_tokens=16"]
+SMALL_MC = ModelConfig(image_size=32, channels=[4, 8], bottleneck=16, d_e=8,
+                       max_tokens=16)
 
 
 def _with_small_model(argv):

@@ -1,5 +1,6 @@
 """Forward oracles and gradient checks for every differentiable primitive."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import ctxseg.diffcore as dc
 from ctxseg.diffcore import DiffTensor, backward
+from ctxseg.diffcore.ops import _conv
 from ctxseg.errors import GraphError, NumericalError, ShapeError
 
 from gradcheck import finite_diff_check
@@ -196,6 +198,22 @@ class TestMaxpool2:
         assert g.sum() == 4.0
         np.testing.assert_array_equal(g[::2, ::2], np.ones((2, 2)))
         assert g[1::2, :].sum() == 0 and g[::2, 1::2].sum() == 0
+
+    @pytest.mark.parametrize("pair", itertools.combinations(range(4), 2),
+                             ids=lambda p: f"{p[0]}-{p[1]}")
+    def test_tied_pair_routes_to_row_major_first(self, pair):
+        # two window positions tie at the max, the other two are lower; six
+        # equal windows, each with its own upstream gradient
+        win = np.full(4, -1.0)
+        win[list(pair)] = 3.0
+        x = DiffTensor(np.tile(win.reshape(2, 2), (2, 3))[None, None],
+                       requires_grad=True)
+        r = np.random.default_rng(0).standard_normal((1, 1, 2, 3))
+        backward(dc.sum_all(dc.mul(dc.maxpool2(x), DiffTensor(r))))
+        want = np.zeros((1, 1, 4, 6), dtype=x.data.dtype)
+        i, j = divmod(pair[0], 2)
+        want[:, :, i::2, j::2] = r
+        np.testing.assert_array_equal(x.grad, want)
 
     def test_matches_loop_oracle(self, rng):
         x = rng.standard_normal((2, 3, 6, 8)).astype(np.float32)
@@ -390,6 +408,16 @@ class TestConvBnRelu:
             else:
                 assert c.rel_err < 1e-3, c
 
+    def test_gradients_of_batch_norm_alone(self, verify64, rng):
+        # only gamma and beta learn: the conv keeps no closure, and backward
+        # stops at batch norm
+        x, w, b, gamma, beta, rm, rv = _sublayer(rng)
+        params = {"gamma": DiffTensor(gamma, requires_grad=True),
+                  "beta": DiffTensor(beta, requires_grad=True)}
+        x, w, b, rm, rv = (DiffTensor(a) for a in (x, w, b, rm, rv))
+        grad_check(lambda: proj_loss(dc.conv_bn_relu(
+            x, w, b, params["gamma"], params["beta"], rm, rv, train=True)), params)
+
     def test_one_node_over_the_sublayer_inputs(self, rng):
         arrays = _sublayer(rng)
         x, w, b, gamma, beta = (DiffTensor(a, requires_grad=True) for a in arrays[:5])
@@ -401,6 +429,91 @@ class TestConvBnRelu:
         x, w, b, gamma, beta, rm, rv = (DiffTensor(a) for a in _sublayer(rng))
         with pytest.raises(ShapeError, match="gamma shape"):
             dc.conv_bn_relu(x, w, b, DiffTensor(np.ones(3)), beta, rm, rv, True)
+
+
+def _decoder_sublayer(rng, c_skip=2):
+    """`_sublayer`'s inputs for a decoder sublayer that also reads a skip of
+    c_skip channels: x, skip, a kernel over both, and the rest."""
+    x, _, b, gamma, beta, rm, rv = _sublayer(rng)
+    skip = rng.standard_normal((2, c_skip, *x.shape[2:]))
+    w = rng.standard_normal((4, x.shape[1] + c_skip, 3, 3))
+    return x, skip, w, b, gamma, beta, rm, rv
+
+
+class TestConvBnReluSkip:
+    """The skip a decoder sublayer's conv reads as channels after x's."""
+
+    @staticmethod
+    def run(x, w, b, gamma, beta, rm, rv, train, skip=None):
+        # fresh running buffers, so that two runs start from the same ones
+        return dc.conv_bn_relu(x, w, b, gamma, beta, DiffTensor(rm.copy()),
+                               DiffTensor(rv.copy()), train, skip)
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_matches_concatenated_input(self, rng, train):
+        x, skip, *rest = (a.astype(np.float32) for a in _decoder_sublayer(rng))
+        w, b, gamma, beta = (DiffTensor(a) for a in rest[:4])
+        got = self.run(DiffTensor(x), w, b, gamma, beta, *rest[4:], train,
+                       skip=DiffTensor(skip))
+        want = self.run(DiffTensor(np.concatenate([x, skip], 1)), w, b, gamma,
+                        beta, *rest[4:], train)
+        np.testing.assert_array_equal(got.data, want.data)
+
+    def test_empty_skip(self, rng):
+        x, _, *rest = (a.astype(np.float32) for a in _decoder_sublayer(rng, c_skip=0))
+        w, b, gamma, beta = (DiffTensor(a) for a in rest[:4])
+        empty = DiffTensor(np.zeros((2, 0, *x.shape[2:])))
+        got = self.run(DiffTensor(x), w, b, gamma, beta, *rest[4:], True, skip=empty)
+        want = self.run(DiffTensor(x), w, b, gamma, beta, *rest[4:], True)
+        np.testing.assert_array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 6, 9), (2, 2, 5, 9), (2, 2, 6, 8)],
+                             ids=["batch", "height", "width"])
+    def test_batch_or_spatial_mismatch(self, rng, shape):
+        x, _, w, b, gamma, beta, rm, rv = _decoder_sublayer(rng)
+        with pytest.raises(ShapeError, match="skip"):
+            self.run(*(DiffTensor(a) for a in (x, w, b, gamma, beta)), rm, rv,
+                     True, skip=DiffTensor(np.zeros(shape)))
+
+    def test_gradient_slices_match_concatenated_input(self, rng):
+        x, skip, *rest = (a.astype(np.float32) for a in _decoder_sublayer(rng))
+        grads = []
+        for inputs in ((x, skip), (np.concatenate([x, skip], 1),)):
+            ts = [DiffTensor(a, requires_grad=True) for a in (*inputs, *rest[:4])]
+            *xs, w, b, gamma, beta = ts
+            out = self.run(xs[0], w, b, gamma, beta, *rest[4:], True,
+                           skip=xs[1] if len(xs) > 1 else None)
+            backward(proj_loss(out))
+            grads.append([t.grad for t in ts])
+        (gx, gskip, *gw), (gcat, *gw_cat) = grads
+        np.testing.assert_array_equal(gx, gcat[:, :3])
+        np.testing.assert_array_equal(gskip, gcat[:, 3:])
+        for a, c in zip(gw, gw_cat):
+            np.testing.assert_array_equal(a, c)
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_gradients(self, verify64, rng, train):
+        x, skip, w, b, gamma, beta, rm, rv = _decoder_sublayer(rng)
+        params = {name: DiffTensor(a, requires_grad=True) for name, a in
+                  (("x", x), ("skip", skip), ("weight", w))}
+        b, gamma, beta = (DiffTensor(a) for a in (b, gamma, beta))
+        report = finite_diff_check(
+            lambda: proj_loss(self.run(params["x"], params["weight"], b, gamma,
+                                       beta, rm, rv, train, skip=params["skip"])),
+            params, eps=1e-5, num_coords=150)
+        assert {c.param for c in report.checks} == set(params)
+        worst = report.worst()
+        assert worst.rel_err < 1e-3, worst
+
+    def test_no_gradient_keeps_no_padded_input(self, rng):
+        # nothing needs a gradient, so the conv returns no closure to hold
+        # its padded input
+        x, skip, w, b = (DiffTensor(a) for a in _decoder_sublayer(rng)[:4])
+        _, back = _conv(x, w, b, "conv_bn_relu", skip)
+        assert back is None
+        _, back = _conv(x, DiffTensor(w.data, requires_grad=True), b,
+                        "conv_bn_relu", skip)
+        assert back is not None
 
 
 # ---------------------------------------------------------------------------
@@ -673,40 +786,6 @@ class TestAttentionGate:
 
 
 # ---------------------------------------------------------------------------
-# concat / structural
-
-class TestConcatChannels:
-    def test_empty_second(self, rng):
-        x = rng.standard_normal((1, 2, 3, 3)).astype(np.float32)
-        empty = DiffTensor(np.zeros((1, 0, 3, 3)))
-        got = dc.concat_channels(DiffTensor(x), empty).data
-        np.testing.assert_array_equal(got, x)
-
-    def test_shape(self):
-        a = DiffTensor(np.zeros((1, 2, 4, 4)))
-        b = DiffTensor(np.zeros((1, 3, 4, 4)))
-        assert dc.concat_channels(a, b).data.shape == (1, 5, 4, 4)
-
-    def test_spatial_mismatch(self):
-        with pytest.raises(ShapeError, match="mismatch"):
-            dc.concat_channels(DiffTensor(np.zeros((1, 2, 4, 4))),
-                               DiffTensor(np.zeros((1, 2, 5, 4))))
-
-    def test_gradient_slices_recover_upstream(self, verify64, rng):
-        a = DiffTensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
-        b = DiffTensor(rng.standard_normal((1, 1, 3, 3)), requires_grad=True)
-        params = {"a": a, "b": b}
-        grad_check(lambda: proj_loss(dc.concat_channels(a, b)), params,
-                   num_coords=27)
-        dc.zero_grads(params)
-        out = dc.concat_channels(a, b)
-        r = np.random.default_rng(1).standard_normal(out.data.shape)
-        backward(dc.sum_all(dc.mul(out, DiffTensor(r))))
-        np.testing.assert_allclose(a.grad, r[:, :2], rtol=1e-9)
-        np.testing.assert_allclose(b.grad, r[:, 2:], rtol=1e-9)
-
-
-# ---------------------------------------------------------------------------
 # bce_with_logits
 
 class TestBceWithLogits:
@@ -798,8 +877,6 @@ CONSTANT_INPUT_OPS = {
     "add_rowvec": lambda: dc.add_rowvec(_const(2, 3), _const(3)),
     "sum_all": lambda: dc.sum_all(_const(2, 3)),
     "mean_all": lambda: dc.mean_all(_const(2, 3)),
-    "concat_channels": lambda: dc.concat_channels(_const(1, 2, 2, 2),
-                                                  _const(1, 3, 2, 2)),
     "matmul": lambda: dc.matmul(_const(2, 3), _const(3, 4)),
     "attention_gate": lambda: dc.attention_gate(
         _const(2, 3, 2, 2), _const(3, 3), _const(3), _const(2, 4, 3), _const(2, 4, 3),
@@ -808,6 +885,9 @@ CONSTANT_INPUT_OPS = {
     "conv_bn_relu": lambda: dc.conv_bn_relu(
         _const(2, 2, 2, 2), _const(3, 2, 3, 3), _const(3), DiffTensor(np.ones(3)),
         _const(3), _const(3), DiffTensor(np.ones(3)), True),
+    "conv_bn_relu_skip": lambda: dc.conv_bn_relu(
+        _const(2, 2, 2, 2), _const(3, 5, 3, 3), _const(3), DiffTensor(np.ones(3)),
+        _const(3), _const(3), DiffTensor(np.ones(3)), True, skip=_const(2, 3, 2, 2)),
     "maxpool2": lambda: dc.maxpool2(_const(1, 2, 4, 4)),
     "upconv2": lambda: dc.upconv2(_const(1, 2, 2, 2), _const(2, 3, 2, 2), _const(3)),
     "bce_with_logits": lambda: dc.bce_with_logits(_const(2, 3), np.ones((2, 3))),

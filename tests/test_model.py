@@ -20,7 +20,7 @@ def param_count(weights: dict) -> int:
 
 
 def tiny_config(**kwargs):
-    base = dict(image_size=16, depth=2, channels=[4, 8], bottleneck=16,
+    base = dict(image_size=16, channels=[4, 8], bottleneck=16,
                 d_e=8, max_tokens=8, init_seed=1)
     base.update(kwargs)
     return ModelConfig(**base)
@@ -74,10 +74,12 @@ class TestInitWeights:
             assert t.requires_grad == expected, name
 
     def test_bad_configs_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            ModelConfig(channels=[])
         with pytest.raises(ValueError, match="increasing"):
-            ModelConfig(depth=2, channels=[8, 8], bottleneck=16)
+            ModelConfig(channels=[8, 8], bottleneck=16)
         with pytest.raises(ValueError, match="divisible"):
-            ModelConfig(image_size=20, depth=3, channels=[4, 8, 16],
+            ModelConfig(image_size=20, channels=[4, 8, 16],
                         bottleneck=32)
 
 

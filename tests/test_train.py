@@ -20,7 +20,7 @@ from ctxseg.train import (TrainConfig, _as_weights, _forward_batch, ablate,
 def tiny_train_config(**kwargs):
     base = dict(
         lr=1e-3, epochs=2, batch_size=4, seed=5,
-        model=ModelConfig(image_size=32, depth=2, channels=[4, 8],
+        model=ModelConfig(image_size=32, channels=[4, 8],
                           bottleneck=16, d_e=8, max_tokens=16, init_seed=3),
         split=SplitSpec(fractions=(0.7, 0.15, 0.15), fold_seeds=[11, 12]),
     )
