@@ -310,9 +310,15 @@ def split_indices(n: int, fractions, fold_seed: int):
 
 
 def centroid_side(mask: np.ndarray) -> str | None:
-    """Which image half holds the mask centroid; None for an empty mask."""
+    """Which side of the vertical axis (W-1)/2 holds the mask centroid; the
+    axis is the one that the generator and hflip mirror about, so a mask and
+    its mirror image never read the same side. None for an empty mask or a
+    centroid on the axis."""
     ys, xs = np.nonzero(mask)
     if xs.size == 0:
         return None
-    return "left" if xs.mean() < mask.shape[1] / 2.0 else "right"
+    cx, axis = xs.mean(), (mask.shape[1] - 1) / 2.0
+    if cx == axis:
+        return None
+    return "left" if cx < axis else "right"
 

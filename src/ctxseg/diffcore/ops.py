@@ -323,14 +323,18 @@ def conv_bn_relu(x: DiffTensor, weight: DiffTensor, bias: DiffTensor,
 
     def back():
         go = out.grad * (out.data > 0)
-        gamma.accum_grad((go * xhat).sum(axis=(0, 2, 3)))
-        beta.accum_grad(go.sum(axis=(0, 2, 3)))
+        sum_gx = (go * xhat).sum(axis=(0, 2, 3))
+        sum_g = go.sum(axis=(0, 2, 3))
+        gamma.accum_grad(sum_gx)
+        beta.accum_grad(sum_g)
         if conv_back is None:
             return
         gi = gamma.data[None, :, None, None] * inv
         if train:
-            mg = go.mean(axis=(0, 2, 3))[None, :, None, None]
-            mgx = (go * xhat).mean(axis=(0, 2, 3))[None, :, None, None]
+            # numpy's mean is this sum over the count, bitwise
+            m = n * h * w
+            mg = (sum_g / m)[None, :, None, None]
+            mgx = (sum_gx / m)[None, :, None, None]
             conv_back(gi * (go - mg - xhat * mgx))
         else:
             conv_back(gi * go)

@@ -177,8 +177,9 @@ def cross_attention(q_feat: DiffTensor, embs, params: CrossAttnParams,
     the l tokens) and squashes the value mix through tanh; the gate then
     multiplies Q elementwise. With attend_padding off, positions past each
     item's valid_len are masked out pre-softmax (position 0 always stays
-    attendable so all-pad reports remain defined). `capture` receives item
-    0's input, tanh gate and output maps.
+    attendable so all-pad reports remain defined). `capture` receives the
+    input, tanh gate and output maps of every item, as (n, c, h, w) arrays
+    under "q", "tanh_a" and "qstar".
     """
     n, c, h, w = q_feat.data.shape
     if isinstance(embs, ReportEmbedding):
@@ -201,9 +202,9 @@ def cross_attention(q_feat: DiffTensor, embs, params: CrossAttnParams,
     gate = dc.attention_gate(q_feat, params.wq_w, params.wq_b, keys, values, mask)
     out = dc.mul(gate, q_feat)
     if capture is not None:
-        capture["q"] = q_feat.data[0].copy()
-        capture["tanh_a"] = gate.data[0].copy()
-        capture["qstar"] = out.data[0].copy()
+        capture["q"] = q_feat.data.copy()
+        capture["tanh_a"] = gate.data.copy()
+        capture["qstar"] = out.data.copy()
     return out
 
 
@@ -217,14 +218,33 @@ def _prepare_image(image, cfg: ModelConfig) -> DiffTensor:
     return x
 
 
+def _check_report_count(x: DiffTensor, k: int, weights: dict, train: bool):
+    """One image under k reports is an eval-mode forward that records no
+    graph; any other image/report count mismatch is a ShapeError."""
+    n = x.data.shape[0]
+    if k == n:
+        return
+    if n != 1:
+        raise ShapeError(f"{k} embeddings for batch of {n}")
+    if train or x.requires_grad or any(t.requires_grad for t in weights.values()):
+        raise ShapeError(f"{k} reports for one image need an eval-mode forward "
+                         "that records no graph")
+
+
 def _updown(image, embs, weights, cfg, train, capture, use_attention):
     x = _prepare_image(image, cfg)
+    k = (x.data.shape[0] if embs is None or isinstance(embs, ReportEmbedding)
+         else len(embs))
+    _check_report_count(x, k, weights, train)
     skips = []
     for i in range(1, cfg.depth + 1):
         x = _double_conv(x, weights, f"enc{i}", train)
         skips.append(x)
         x = dc.maxpool2(x)
     x = _double_conv(x, weights, f"enc{cfg.depth + 1}", train)
+    if k != x.data.shape[0]:
+        # the encoder read no report: decode its one output under k reports
+        x, *skips = (DiffTensor(np.repeat(t.data, k, axis=0)) for t in (x, *skips))
     for i in range(cfg.depth, 0, -1):
         u = dc.upconv2(x, weights[f"up{i}.w"], weights[f"up{i}.b"])
         if use_attention:
@@ -242,7 +262,14 @@ def _updown(image, embs, weights, cfg, train, capture, use_attention):
 def text_gated_forward(image, embs, weights: dict, cfg: ModelConfig,
                        train: bool = False, capture: dict | None = None
                        ) -> DiffTensor:
-    """Full forward pass: encoder, bottleneck, gated decoder, 1x1 logit head."""
+    """Full forward pass: encoder, bottleneck, gated decoder, 1x1 logit head.
+
+    `embs` is one ReportEmbedding for every image or a list of one per image.
+    An eval-mode forward that records no graph also takes one image with a
+    list of k reports: the encoder runs once at batch 1 and the decoder at
+    batch k, giving the logits of k single-report forwards, bitwise. Any
+    other count mismatch, or k reports on a forward that needs a graph or
+    train mode, raises ShapeError."""
     return _updown(image, embs, weights, cfg, train, capture, use_attention=True)
 
 

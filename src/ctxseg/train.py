@@ -25,8 +25,8 @@ from .data import (Sample, SplitSpec, centroid_side, dice, split_indices,
                    write_pgm)
 from .diffcore import DiffTensor
 from .errors import DataFormatError, NumericalError
-from .model import (ModelConfig, init_weights, predict_mask, text_gated_forward,
-                    unet_forward, weight_shapes)
+from .model import (ModelConfig, _check_report_count, init_weights, predict_mask,
+                    text_gated_forward, unet_forward, weight_shapes)
 from .textenc import embed, tokenize
 from .util import mix64, rng_from
 
@@ -99,11 +99,20 @@ def _forward_batch(weights, images, reports, cfg: TrainConfig, train: bool,
                    capture: dict | None = None):
     """Logits for (H, W) images and their reports under cfg's ablation arm:
     `baseline_unet` has no text path and `no_text` reads every report as "".
+    On weights that record no graph, in eval mode, one image may come with
+    k reports: the logits are those of k single-report forwards, bitwise,
+    from one encoder pass (see text_gated_forward); `baseline_unet` repeats
+    its one forward k times. Any other count mismatch raises ShapeError.
     `capture` collects the attention maps of text_gated_forward, so it is
     only filled on the arms that have cross-attention."""
     imgs = np.stack(images)[:, None, :, :]
     if cfg.ablation == "baseline_unet":
-        return unet_forward(imgs, weights, cfg.model, train=train)
+        imgs = DiffTensor(imgs)
+        _check_report_count(imgs, len(reports), weights, train)
+        logits = unet_forward(imgs, weights, cfg.model, train=train)
+        if len(reports) != len(images):
+            logits = DiffTensor(np.repeat(logits.data, len(reports), axis=0))
+        return logits
     if cfg.ablation == "no_text":
         reports = [""] * len(reports)
     embs = [_embed_report(r, cfg.model) for r in reports]
@@ -329,30 +338,34 @@ def swap_word(text: str, src: str, dst: str) -> str:
                   flags=re.IGNORECASE)
 
 
-def _predict_one(weights, sample: Sample, report: str, cfg: TrainConfig):
-    logits = _forward_batch(weights, [sample.image], [report], cfg, train=False)
-    return predict_mask(logits, cfg.threshold)[0, 0]
-
-
 def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig) -> dict:
     """Re-predict each sample with single words swapped in its report.
 
     For every (src, dst) swap and every sample whose report contains src,
     records centroid sides before/after, the predicted-area ratio, and the
     IoU between the two predictions; aggregates flip rate and mean area ratio
-    per swap (also as percentages).
+    per swap (also as percentages). Each probed sample takes one
+    `_forward_batch` call, one image under the distinct reports its arm
+    reads: on `full` and `flip` the original and every swap that changes
+    it; on `no_text` and `baseline_unet`, which read no report, the
+    original alone, whose prediction serves every variant.
     """
     weights = _as_weights(checkpoint, cfg.model, cfg.ablation)
+    reads_text = cfg.ablation not in ("no_text", "baseline_unet")
     probes = {f"{src}->{dst}": [] for src, dst in swaps}
     for si, sample in enumerate(samples):
-        base_pred = None
-        for src, dst in swaps:
-            swapped = swap_word(sample.report, src, dst)
+        variants = [swap_word(sample.report, src, dst) for src, dst in swaps]
+        if all(v == sample.report for v in variants):
+            continue
+        texts = ([*dict.fromkeys([sample.report, *variants])] if reads_text
+                 else [sample.report])
+        logits = _forward_batch(weights, [sample.image], texts, cfg, train=False)
+        preds = dict(zip(texts, predict_mask(logits, cfg.threshold)[:, 0]))
+        base_pred = preds[sample.report]
+        for (src, dst), swapped in zip(swaps, variants):
             if swapped == sample.report:
                 continue
-            if base_pred is None:
-                base_pred = _predict_one(weights, sample, sample.report, cfg)
-            new_pred = _predict_one(weights, sample, swapped, cfg)
+            new_pred = preds.get(swapped, base_pred)
             inter = int((base_pred & new_pred).sum())
             union = int((base_pred | new_pred).sum())
             base_area = int(base_pred.sum())
@@ -400,7 +413,8 @@ def attention_dump(checkpoint, sample: Sample, out_dir, cfg: TrainConfig,
     For the original report and the word-swapped one, dumps the attention
     input feature map, the tanh-activated attention map, and the gated
     feature map at one fixed channel per decoder level, min-max normalized
-    with raw ranges recorded in scales.txt. A `no_text` model reads both
+    with raw ranges recorded in scales.txt. Both reports run as one batch of
+    two over a single encoder pass. A `no_text` model reads both
     variants as the empty report; `baseline_unet` has no gate to dump and
     raises ValueError before the checkpoint is read.
     """
@@ -410,20 +424,17 @@ def attention_dump(checkpoint, sample: Sample, out_dir, cfg: TrainConfig,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     weights = _as_weights(checkpoint, cfg.model, cfg.ablation)
-    reports = {
-        "orig": sample.report,
-        "swap": swap_word(sample.report, swap[0], swap[1]),
-    }
+    texts = [sample.report, swap_word(sample.report, swap[0], swap[1])]
+    capture: dict = {}
+    _forward_batch(weights, [sample.image], texts, cfg, train=False,
+                   capture=capture)
     written = []
     scales = []
-    for variant, text in reports.items():
-        capture: dict = {}
-        _forward_batch(weights, [sample.image], [text], cfg, train=False,
-                       capture=capture)
+    for item, variant in enumerate(("orig", "swap")):
         for level in sorted(capture):
             maps = capture[level]
             for kind, key in (("q", "q"), ("tanha", "tanh_a"), ("qstar", "qstar")):
-                arr = maps[key][channel]
+                arr = maps[key][item, channel]
                 name = f"level{level}_{kind}_{variant}.pgm"
                 write_pgm(out_dir / name, _to_u8(arr), 255)
                 scales.append(f"{name} min={arr.min():.6g} max={arr.max():.6g}")

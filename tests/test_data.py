@@ -217,6 +217,33 @@ class TestDice:
         assert dice(a, b) == dice(b, a)
 
 
+class TestCentroidSide:
+    def test_empty_mask_is_unsided(self):
+        assert centroid_side(np.zeros((4, 6), dtype=np.uint8)) is None
+
+    def test_split_is_the_mirror_axis(self):
+        # columns 31, 32, 32 of 64: centroid 31.67, right of the axis 31.5;
+        # the mirror image (columns 32, 31, 31) sits at 31.33, left of it
+        m = np.zeros((4, 64), dtype=np.uint8)
+        m[0, 31] = m[1, 32] = m[2, 32] = 1
+        assert centroid_side(m) == "right"
+        assert centroid_side(m[:, ::-1]) == "left"
+
+    def test_centroid_on_the_axis_is_unsided(self):
+        m = np.zeros((4, 64), dtype=np.uint8)
+        m[0, 31] = m[1, 32] = 1
+        assert centroid_side(m) is None
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_mirror_never_reads_the_same_side(self, seed, h, w, density):
+        m = (np.random.default_rng(seed).random((h, w)) < density).astype(np.uint8)
+        side, mirrored = centroid_side(m), centroid_side(m[:, ::-1])
+        assert (side is None) == (mirrored is None)
+        assert side is None or side != mirrored
+
+
 class TestSplits:
     def test_fraction_sizes(self):
         tr, va, te = split_indices(100, (0.7, 0.15, 0.15), fold_seed=1)

@@ -229,6 +229,22 @@ class TestCrossAttention:
             for i in set(range(3)) - {j}:
                 np.testing.assert_array_equal(got[i], base[i])
 
+    def test_capture_holds_every_item(self, rng):
+        cfg = tiny_config()
+        params = CrossAttnParams.from_weights(init_weights(cfg), 1)
+        embs = [make_emb(text, cfg) for text in self.BATCH_REPORTS]
+        q = DiffTensor(rng.standard_normal((3, 4, 8, 8)))
+        capture = {}
+        out = cross_attention(q, embs, params, capture=capture)
+        np.testing.assert_array_equal(capture["q"], q.data)
+        np.testing.assert_array_equal(capture["qstar"], out.data)
+        assert capture["tanh_a"].shape == (3, 4, 8, 8)
+        for i, emb in enumerate(embs):
+            one = {}
+            cross_attention(DiffTensor(q.data[i:i + 1]), emb, params, capture=one)
+            for key in ("q", "tanh_a", "qstar"):
+                np.testing.assert_array_equal(capture[key][i], one[key][0])
+
     def test_masked_batch_gradients(self, verify64, rng):
         cfg = tiny_config()
         embs = [make_emb(text, cfg) for text in self.BATCH_REPORTS[:2]]
@@ -340,6 +356,63 @@ class TestForwardPasses:
         img = rng.random((3, 1, 16, 16)).astype(np.float32)
         with pytest.raises(ShapeError, match="embeddings"):
             text_gated_forward(img, [make_emb()] * 2, w, cfg)
+
+
+def no_grad(weights: dict) -> dict:
+    return {name: DiffTensor(t.data) for name, t in weights.items()}
+
+
+class TestOneImageUnderKReports:
+    REPORTS = ("large left apical pneumothorax.", "large right apical pneumothorax.",
+               "", "small left basal pneumothorax.")
+
+    @pytest.mark.parametrize("attend_padding", [True, False])
+    def test_logits_equal_k_single_report_forwards(self, rng, attend_padding):
+        cfg = tiny_config(attend_padding=attend_padding)
+        w = no_grad(init_weights(cfg))
+        img = rng.random((1, 1, 16, 16)).astype(np.float32)
+        embs = [make_emb(text, cfg) for text in self.REPORTS]
+        capture = {}
+        got = text_gated_forward(img, embs, w, cfg, capture=capture)
+        assert got.data.shape == (len(embs), 1, 16, 16)
+        assert got._parents == ()
+        for i, emb in enumerate(embs):
+            one = {}
+            want = text_gated_forward(img, [emb], w, cfg, capture=one)
+            np.testing.assert_array_equal(got.data[i], want.data[0])
+            for level in one:
+                for key, arr in one[level].items():
+                    np.testing.assert_array_equal(capture[level][key][i], arr[0])
+
+    def test_runs_the_encoder_once(self, rng, maxpool2_batches):
+        cfg = tiny_config()
+        w = no_grad(init_weights(cfg))
+        img = rng.random((1, 1, 16, 16)).astype(np.float32)
+        text_gated_forward(img, [make_emb(t, cfg) for t in self.REPORTS], w, cfg)
+        assert maxpool2_batches == [1] * cfg.depth
+
+    def test_weights_that_require_grad_raise(self, rng):
+        cfg = tiny_config()
+        img = rng.random((1, 1, 16, 16)).astype(np.float32)
+        embs = [make_emb(t, cfg) for t in self.REPORTS[:2]]
+        with pytest.raises(ShapeError, match="records no graph"):
+            text_gated_forward(img, embs, init_weights(cfg), cfg)
+
+    def test_image_that_requires_grad_raises(self, rng):
+        cfg = tiny_config()
+        img = DiffTensor(rng.random((1, 1, 16, 16)).astype(np.float32),
+                         requires_grad=True)
+        embs = [make_emb(t, cfg) for t in self.REPORTS[:2]]
+        with pytest.raises(ShapeError, match="records no graph"):
+            text_gated_forward(img, embs, no_grad(init_weights(cfg)), cfg)
+
+    def test_train_mode_raises(self, rng):
+        cfg = tiny_config()
+        img = rng.random((1, 1, 16, 16)).astype(np.float32)
+        embs = [make_emb(t, cfg) for t in self.REPORTS[:2]]
+        with pytest.raises(ShapeError, match="eval-mode"):
+            text_gated_forward(img, embs, no_grad(init_weights(cfg)), cfg,
+                               train=True)
 
 
 class TestPredictMask:

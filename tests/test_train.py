@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctxseg.data import GeneratorConfig, SplitSpec, dice, generate_dataset
+from ctxseg.data import (GeneratorConfig, SplitSpec, centroid_side, dice,
+                         generate_dataset)
 from ctxseg.diffcore import load_checkpoint, save_checkpoint
-from ctxseg.errors import DataFormatError
+from ctxseg.errors import DataFormatError, ShapeError
 from ctxseg.model import ModelConfig, init_weights, predict_mask
 from ctxseg.train import (TrainConfig, _as_weights, _forward_batch, ablate,
                           attention_dump, cross_validate, evaluate, swap_word,
@@ -147,6 +148,43 @@ class TestAsWeights:
             assert t.requires_grad == requires_grad and t.grad is grad
 
 
+ARMS_BY_TEXT_PATH = ("full", "no_text", "baseline_unet")
+
+
+class TestForwardBatchKReports:
+    REPORTS = ["large left apical pneumothorax.", "large right apical pneumothorax.",
+               "small left basal pneumothorax."]
+
+    @pytest.mark.parametrize("arm", ARMS_BY_TEXT_PATH)
+    def test_logits_equal_k_single_report_forwards(self, tiny_dataset, arm):
+        cfg = tiny_train_config(ablation=arm)
+        w = _as_weights(init_weights(cfg.model, arm != "baseline_unet"),
+                        cfg.model, arm)
+        image = tiny_dataset[0].image
+        got = _forward_batch(w, [image], self.REPORTS, cfg, train=False).data
+        assert got.shape[0] == len(self.REPORTS)
+        for i, report in enumerate(self.REPORTS):
+            want = _forward_batch(w, [image], [report], cfg, train=False).data
+            np.testing.assert_array_equal(got[i], want[0])
+
+    @pytest.mark.parametrize("arm", ARMS_BY_TEXT_PATH)
+    def test_live_weights_raise(self, tiny_dataset, arm):
+        cfg = tiny_train_config(ablation=arm)
+        live = init_weights(cfg.model, arm != "baseline_unet")
+        with pytest.raises(ShapeError, match="records no graph"):
+            _forward_batch(live, [tiny_dataset[0].image], self.REPORTS, cfg,
+                           train=False)
+
+    @pytest.mark.parametrize("arm", ARMS_BY_TEXT_PATH)
+    def test_other_count_mismatch_raises(self, tiny_dataset, arm):
+        cfg = tiny_train_config(ablation=arm)
+        w = _as_weights(init_weights(cfg.model, arm != "baseline_unet"),
+                        cfg.model, arm)
+        with pytest.raises(ShapeError, match="embeddings"):
+            _forward_batch(w, [s.image for s in tiny_dataset[:2]], self.REPORTS,
+                           cfg, train=False)
+
+
 class TestCrossValidate:
     def test_fold_count_and_membership(self, tiny_dataset, tmp_path):
         cfg = tiny_train_config(epochs=1, batch_size=2,
@@ -227,6 +265,55 @@ class TestWordSwapProbe:
         agg = rep["swaps"]["left->right"]
         assert all(e["iou"] == 1.0 for e in agg["entries"])
         assert agg["flip_rate"] == 0.0
+
+    SWAPS = [("left", "right"), ("right", "left"), ("apical", "basal")]
+
+    @staticmethod
+    def reference_entries(weights, samples, swaps, cfg) -> dict:
+        """The probe's entries from one batch-1 forward per report variant."""
+        def pred(sample, report):
+            logits = _forward_batch(weights, [sample.image], [report], cfg,
+                                    train=False)
+            return predict_mask(logits, cfg.threshold)[0, 0]
+
+        entries = {f"{src}->{dst}": [] for src, dst in swaps}
+        for si, sample in enumerate(samples):
+            for src, dst in swaps:
+                swapped = swap_word(sample.report, src, dst)
+                if swapped == sample.report:
+                    continue
+                base, new = pred(sample, sample.report), pred(sample, swapped)
+                union = int((base | new).sum())
+                entries[f"{src}->{dst}"].append({
+                    "index": si,
+                    "orig_side": centroid_side(base),
+                    "swapped_side": centroid_side(new),
+                    "orig_dice": dice(base, sample.mask),
+                    "area_ratio": (int(new.sum()) / int(base.sum())
+                                   if base.sum() else None),
+                    "iou": int((base & new).sum()) / union if union else 1.0,
+                })
+        return entries
+
+    @pytest.mark.parametrize("arm", ARMS_BY_TEXT_PATH)
+    def test_entries_match_separate_forwards(self, tiny_dataset, tmp_path, arm):
+        cfg = tiny_train_config(epochs=1, ablation=arm)
+        rec = train(cfg, tiny_dataset, tmp_path)
+        rep = word_swap_probe(rec.checkpoint, tiny_dataset, self.SWAPS, cfg)
+        weights = _as_weights(rec.checkpoint, cfg.model, arm)
+        want = self.reference_entries(weights, tiny_dataset, self.SWAPS, cfg)
+        assert {k: v["entries"] for k, v in rep["swaps"].items()} == want
+
+    @pytest.mark.parametrize("arm", ARMS_BY_TEXT_PATH)
+    def test_two_swaps_run_the_encoder_once(self, tiny_dataset, maxpool2_batches,
+                                            arm):
+        cfg = tiny_train_config(ablation=arm)
+        w = init_weights(cfg.model, arm != "baseline_unet")
+        sample = next(s for s in tiny_dataset if "left" in s.report)
+        swaps = [("left", "right"), ("left", "bilateral")]
+        rep = word_swap_probe(w, [sample], swaps, cfg)
+        assert [agg["samples"] for agg in rep["swaps"].values()] == [1, 1]
+        assert maxpool2_batches == [1] * cfg.model.depth
 
     def test_swap_word_is_word_bounded(self):
         assert swap_word("left leftover cleft", "left", "right") == \
