@@ -5,7 +5,8 @@ field" ellipses over correlated noise, with a crescent-shaped bright target
 at a (side, zone) location and a templated report describing it. In ambiguous
 mode a visually identical crescent is rendered at the mirrored position but
 left out of the mask, so only the report's side word identifies the target.
-Sides are image-space: "left" means centroid x < S/2.
+Sides are image-space: "left" means centroid x < (S-1)/2, the axis the
+twin and hflip mirror about; a centroid on that axis has no side.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import DiffTensor
 from .errors import ShapeError
-from .textenc import ReportEmbedding
 from .util import fnv1a_str, rng_from
 
 
@@ -56,25 +55,6 @@ class ModelConfig:
     def level_channels(self, i: int) -> int:
         """Channel count at level i, where level depth+1 is the bottleneck."""
         return self.bottleneck if i == self.depth + 1 else self.channels[i - 1]
-
-
-@dataclass
-class CrossAttnParams:
-    tproj_w: DiffTensor
-    tproj_b: DiffTensor
-    wq_w: DiffTensor
-    wq_b: DiffTensor
-    wk_w: DiffTensor
-    wk_b: DiffTensor
-    wv_w: DiffTensor
-    wv_b: DiffTensor
-
-    @classmethod
-    def from_weights(cls, weights: dict, level: int) -> "CrossAttnParams":
-        p = f"xattn{level}"
-        return cls(*(weights[f"{p}.{part}.{wb}"]
-                     for part in ("tproj", "wq", "wk", "wv")
-                     for wb in ("w", "b")))
 
 
 # ---------------------------------------------------------------------------
@@ -165,41 +145,43 @@ def _double_conv(x, weights, prefix, train, skip=None):
 _MASK_NEG = -1e30  # additive pre-softmax mask; underflows to exactly 0 after exp
 
 
-def cross_attention(q_feat: DiffTensor, embs, params: CrossAttnParams,
+def cross_attention(q_feat: DiffTensor, embs: list, weights: dict, level: int,
                     attend_padding: bool = True, capture: dict | None = None
                     ) -> DiffTensor:
     """Gate pixel features by attention over report tokens, batch at once.
 
-    Each item's token matrix E (l, d_e) is stacked to (n, l, d_e) and
-    projected to T = E Wt + bt, keys T Wk + bk and values T Wv + bv, all
-    (n, l, c). One `attention_gate` node lets every pixel of Q (n, c, h, w)
-    attend over its own item's tokens (scaled dot product, softmax across
-    the l tokens) and squashes the value mix through tanh; the gate then
-    multiplies Q elementwise. With attend_padding off, positions past each
-    item's valid_len are masked out pre-softmax (position 0 always stays
-    attendable so all-pad reports remain defined). `capture` receives the
-    input, tanh gate and output maps of every item, as (n, c, h, w) arrays
-    under "q", "tanh_a" and "qstar".
+    `embs` holds one ReportEmbedding per item of Q (n, c, h, w); the gate
+    reads its weights by name, `xattn{level}.tproj.w` and the like. Each
+    item's token matrix E (l, d_e) is stacked to (n, l, d_e) and projected to
+    T = E Wt + bt, keys T Wk + bk and values T Wv + bv, all (n, l, c). One
+    `attention_gate` node lets every pixel of Q attend over its own item's
+    tokens (scaled dot product, softmax across the l tokens) and squashes
+    the value mix through tanh; the gate then multiplies Q elementwise. With
+    attend_padding off, positions past each item's valid_len are masked out
+    pre-softmax (position 0 always stays attendable so all-pad reports
+    remain defined). `capture` receives the input, tanh gate and output maps
+    of every item, as (n, c, h, w) arrays under "q", "tanh_a" and "qstar".
     """
     n, c, h, w = q_feat.data.shape
-    if isinstance(embs, ReportEmbedding):
-        embs = [embs] * n
     if len(embs) != n:
         raise ShapeError(f"{len(embs)} embeddings for batch of {n}")
     l, d_e = embs[0].matrix.shape
-    if params.tproj_w.data.shape != (d_e, c):
+    p = f"xattn{level}"
+    tproj_w = weights[f"{p}.tproj.w"]
+    if tproj_w.data.shape != (d_e, c):
         raise ShapeError(
-            f"text projection is {params.tproj_w.data.shape}, needs ({d_e}, {c})")
+            f"text projection is {tproj_w.data.shape}, needs ({d_e}, {c})")
 
     e = DiffTensor(np.stack([emb.matrix for emb in embs]))      # frozen: no grad path
-    t = dc.add_rowvec(dc.matmul(e, params.tproj_w), params.tproj_b)
-    keys = dc.add_rowvec(dc.matmul(t, params.wk_w), params.wk_b)
-    values = dc.add_rowvec(dc.matmul(t, params.wv_w), params.wv_b)
+    t = dc.add_rowvec(dc.matmul(e, tproj_w), weights[f"{p}.tproj.b"])
+    keys = dc.add_rowvec(dc.matmul(t, weights[f"{p}.wk.w"]), weights[f"{p}.wk.b"])
+    values = dc.add_rowvec(dc.matmul(t, weights[f"{p}.wv.w"]), weights[f"{p}.wv.b"])
     mask = None
     if not attend_padding:
         valid = np.maximum([emb.valid_len for emb in embs], 1)
         mask = np.where(np.arange(l) < valid[:, None], 0.0, _MASK_NEG)
-    gate = dc.attention_gate(q_feat, params.wq_w, params.wq_b, keys, values, mask)
+    gate = dc.attention_gate(q_feat, weights[f"{p}.wq.w"], weights[f"{p}.wq.b"],
+                             keys, values, mask)
     out = dc.mul(gate, q_feat)
     if capture is not None:
         capture["q"] = q_feat.data.copy()
@@ -218,65 +200,60 @@ def _prepare_image(image, cfg: ModelConfig) -> DiffTensor:
     return x
 
 
-def _check_report_count(x: DiffTensor, k: int, weights: dict, train: bool):
-    """One image under k reports is an eval-mode forward that records no
-    graph; any other image/report count mismatch is a ShapeError."""
-    n = x.data.shape[0]
-    if k == n:
-        return
-    if n != 1:
-        raise ShapeError(f"{k} embeddings for batch of {n}")
-    if train or x.requires_grad or any(t.requires_grad for t in weights.values()):
-        raise ShapeError(f"{k} reports for one image need an eval-mode forward "
-                         "that records no graph")
-
-
-def _updown(image, embs, weights, cfg, train, capture, use_attention):
+def _updown(image, embs, weights, cfg, train, capture):
+    """Encoder, bottleneck and decoder; each decoder level is text-gated when
+    `embs` is a list of reports, ungated when it is None. One image under k
+    reports is an eval-mode forward that records no graph: the encoder runs
+    once at batch 1 and its outputs are repeated k times for the decoder.
+    Any other image/report count mismatch is a ShapeError."""
     x = _prepare_image(image, cfg)
-    k = (x.data.shape[0] if embs is None or isinstance(embs, ReportEmbedding)
-         else len(embs))
-    _check_report_count(x, k, weights, train)
+    n = x.data.shape[0]
+    k = n if embs is None else len(embs)
+    if k != n:
+        if n != 1:
+            raise ShapeError(f"{k} embeddings for batch of {n}")
+        if train or x.requires_grad or any(t.requires_grad for t in weights.values()):
+            raise ShapeError(f"{k} reports for one image need an eval-mode "
+                             "forward that records no graph")
     skips = []
     for i in range(1, cfg.depth + 1):
         x = _double_conv(x, weights, f"enc{i}", train)
         skips.append(x)
         x = dc.maxpool2(x)
     x = _double_conv(x, weights, f"enc{cfg.depth + 1}", train)
-    if k != x.data.shape[0]:
+    if k != n:
         # the encoder read no report: decode its one output under k reports
         x, *skips = (DiffTensor(np.repeat(t.data, k, axis=0)) for t in (x, *skips))
     for i in range(cfg.depth, 0, -1):
-        u = dc.upconv2(x, weights[f"up{i}.w"], weights[f"up{i}.b"])
-        if use_attention:
+        x = dc.upconv2(x, weights[f"up{i}.w"], weights[f"up{i}.b"])
+        if embs is not None:
             cap_i = {} if capture is not None else None
-            g = cross_attention(u, embs, CrossAttnParams.from_weights(weights, i),
-                                attend_padding=cfg.attend_padding, capture=cap_i)
+            x = cross_attention(x, embs, weights, i, cfg.attend_padding, cap_i)
             if capture is not None:
                 capture[i] = cap_i
-        else:
-            g = u
-        x = _double_conv(g, weights, f"dec{i}", train, skip=skips[i - 1])
+        x = _double_conv(x, weights, f"dec{i}", train, skip=skips[i - 1])
     return dc.conv2d(x, weights["head.w"], weights["head.b"])
 
 
-def text_gated_forward(image, embs, weights: dict, cfg: ModelConfig,
+def text_gated_forward(image, embs: list, weights: dict, cfg: ModelConfig,
                        train: bool = False, capture: dict | None = None
                        ) -> DiffTensor:
     """Full forward pass: encoder, bottleneck, gated decoder, 1x1 logit head.
 
-    `embs` is one ReportEmbedding for every image or a list of one per image.
-    An eval-mode forward that records no graph also takes one image with a
-    list of k reports: the encoder runs once at batch 1 and the decoder at
-    batch k, giving the logits of k single-report forwards, bitwise. Any
-    other count mismatch, or k reports on a forward that needs a graph or
-    train mode, raises ShapeError."""
-    return _updown(image, embs, weights, cfg, train, capture, use_attention=True)
+    `embs` is a list of ReportEmbedding, one per image. An eval-mode forward
+    that records no graph also takes one image under k reports: the encoder
+    runs once at batch 1 and the decoder at batch k, giving the logits of k
+    single-report forwards, bitwise. Any other count mismatch, or k reports
+    on a forward that needs a graph or train mode, raises ShapeError.
+    `capture`, if given, maps each decoder level to its gate's maps (see
+    cross_attention)."""
+    return _updown(image, embs, weights, cfg, train, capture)
 
 
 def unet_forward(image, weights: dict, cfg: ModelConfig,
                  train: bool = False) -> DiffTensor:
     """Baseline without a text path: the attention gate becomes identity."""
-    return _updown(image, None, weights, cfg, train, None, use_attention=False)
+    return _updown(image, None, weights, cfg, train, None)
 
 
 def predict_mask(logits, threshold: float = 0.5) -> np.ndarray:

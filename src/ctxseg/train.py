@@ -24,9 +24,9 @@ from .augment import AugmentPolicy, augment_sample
 from .data import (Sample, SplitSpec, centroid_side, dice, split_indices,
                    write_pgm)
 from .diffcore import DiffTensor
-from .errors import DataFormatError, NumericalError
-from .model import (ModelConfig, _check_report_count, init_weights, predict_mask,
-                    text_gated_forward, unet_forward, weight_shapes)
+from .errors import DataFormatError, NumericalError, ShapeError
+from .model import (ModelConfig, init_weights, predict_mask, text_gated_forward,
+                    unet_forward, weight_shapes)
 from .textenc import embed, tokenize
 from .util import mix64, rng_from
 
@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.ablation not in ABLATION_ARMS:
             raise ValueError(f"ablation must be one of {ABLATION_ARMS}, "
                              f"got {self.ablation!r}")
@@ -98,21 +100,20 @@ def _embed_report(text: str, mc: ModelConfig):
 def _forward_batch(weights, images, reports, cfg: TrainConfig, train: bool,
                    capture: dict | None = None):
     """Logits for (H, W) images and their reports under cfg's ablation arm:
-    `baseline_unet` has no text path and `no_text` reads every report as "".
-    On weights that record no graph, in eval mode, one image may come with
-    k reports: the logits are those of k single-report forwards, bitwise,
-    from one encoder pass (see text_gated_forward); `baseline_unet` repeats
-    its one forward k times. Any other count mismatch raises ShapeError.
-    `capture` collects the attention maps of text_gated_forward, so it is
-    only filled on the arms that have cross-attention."""
+    `baseline_unet` has no text path and takes exactly one report per image;
+    `no_text` reads every report as "". On the text arms, an eval-mode
+    forward on weights that record no graph may also take one image with k
+    reports: the logits are those of k single-report forwards, bitwise, from
+    one encoder pass (see text_gated_forward). Any other count mismatch
+    raises ShapeError. `capture` collects the attention maps of
+    text_gated_forward, so it is only filled on the arms that have
+    cross-attention."""
     imgs = np.stack(images)[:, None, :, :]
     if cfg.ablation == "baseline_unet":
-        imgs = DiffTensor(imgs)
-        _check_report_count(imgs, len(reports), weights, train)
-        logits = unet_forward(imgs, weights, cfg.model, train=train)
         if len(reports) != len(images):
-            logits = DiffTensor(np.repeat(logits.data, len(reports), axis=0))
-        return logits
+            raise ShapeError(f"baseline_unet takes one report per image, got "
+                             f"{len(reports)} for {len(images)}")
+        return unet_forward(imgs, weights, cfg.model, train=train)
     if cfg.ablation == "no_text":
         reports = [""] * len(reports)
     embs = [_embed_report(r, cfg.model) for r in reports]
@@ -334,6 +335,11 @@ _def_word = r"(?<![a-z]){}(?![a-z])"
 
 
 def swap_word(text: str, src: str, dst: str) -> str:
+    """`text` with every whole-word, case-insensitive `src` replaced by `dst`;
+    an empty `dst` deletes the word. An empty `src` would match at every
+    word boundary, so it raises ValueError."""
+    if not src:
+        raise ValueError("swap source word is empty")
     return re.sub(_def_word.format(re.escape(src.lower())), dst, text,
                   flags=re.IGNORECASE)
 
@@ -348,7 +354,8 @@ def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig) -> dict:
     `_forward_batch` call, one image under the distinct reports its arm
     reads: on `full` and `flip` the original and every swap that changes
     it; on `no_text` and `baseline_unet`, which read no report, the
-    original alone, whose prediction serves every variant.
+    original alone, whose prediction serves every variant. An empty swap
+    source word raises ValueError (see swap_word).
     """
     weights = _as_weights(checkpoint, cfg.model, cfg.ablation)
     reads_text = cfg.ablation not in ("no_text", "baseline_unet")
@@ -415,16 +422,21 @@ def attention_dump(checkpoint, sample: Sample, out_dir, cfg: TrainConfig,
     feature map at one fixed channel per decoder level, min-max normalized
     with raw ranges recorded in scales.txt. Both reports run as one batch of
     two over a single encoder pass. A `no_text` model reads both
-    variants as the empty report; `baseline_unet` has no gate to dump and
-    raises ValueError before the checkpoint is read.
+    variants as the empty report. `baseline_unet`, which has no gate to
+    dump, and a channel outside [0, model.channels[0]) raise ValueError
+    before any file is written.
     """
     if cfg.ablation == "baseline_unet":
         raise ValueError("attention_dump: the baseline_unet arm has no "
                          "cross-attention to dump")
+    if not 0 <= channel < cfg.model.channels[0]:
+        raise ValueError(f"attention_dump: channel {channel} is outside "
+                         f"0..{cfg.model.channels[0] - 1}, the channels of "
+                         "every decoder level")
+    texts = [sample.report, swap_word(sample.report, swap[0], swap[1])]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     weights = _as_weights(checkpoint, cfg.model, cfg.ablation)
-    texts = [sample.report, swap_word(sample.report, swap[0], swap[1])]
     capture: dict = {}
     _forward_batch(weights, [sample.image], texts, cfg, train=False,
                    capture=capture)

@@ -105,14 +105,17 @@ def dice_counters(a, b):
     return 2.0 * inter / both
 
 
-def cross_attention_direct(q, token_mats, valid_lens, p, attend_padding=True):
+def cross_attention_direct(q, token_mats, valid_lens, weights, level,
+                           attend_padding=True):
     """The text gate, one item and one pixel at a time, in float64.
 
-    q is (n, c, h, w); token_mats holds one (l, d_e) matrix per item; p maps
-    tproj_w, tproj_b, wq_w, wq_b, wk_w, wk_b, wv_w, wv_b to arrays. A pixel
-    attends over every token, or with attend_padding off over the first
-    max(valid_len, 1) tokens only.
+    q is (n, c, h, w); token_mats holds one (l, d_e) matrix per item; weights
+    maps the model's tensor names to arrays, of which the gate reads
+    xattn{level}.{tproj,wq,wk,wv}.{w,b}. A pixel attends over every token, or
+    with attend_padding off over the first max(valid_len, 1) tokens only.
     """
+    p = {f"{part}_{wb}": weights[f"xattn{level}.{part}.{wb}"]
+         for part in ("tproj", "wq", "wk", "wv") for wb in ("w", "b")}
     n, c, h, w = q.shape
     out = np.zeros((n, c, h, w), dtype=np.float64)
     for i in range(n):

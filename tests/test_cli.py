@@ -148,6 +148,45 @@ def test_viz_on_baseline_checkpoint_exits_1(tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("batch_size", [-1, 0])
+def test_train_with_nonpositive_batch_size_exits_1(batch_size, data_dir, tmp_path,
+                                                   capsys):
+    out = tmp_path / "run"
+    argv = ["train", "--data", str(data_dir), "--out", str(out),
+            "--override", "train.epochs=1",
+            "--override", f"train.batch_size={batch_size}"]
+    assert run(_with_small_model(argv)) == 1
+    assert f"batch_size must be >= 1, got {batch_size}" in _assert_one_error_line(capsys)
+    assert not (out / "checkpoint.ctxn").exists()
+
+
+@pytest.mark.parametrize("channel", ["99", "-1"])
+def test_viz_with_channel_outside_the_model_exits_1(channel, tmp_path, capsys):
+    data = tmp_path / "data"
+    write_dataset(generate_dataset(GeneratorConfig(n=1, image_size=32), base_seed=5),
+                  data)
+    ckpt = tmp_path / "full.ctxn"
+    save_checkpoint(ckpt, init_weights(SMALL_MC))
+    argv = ["viz", "--checkpoint", str(ckpt), "--data", str(data),
+            "--out", str(tmp_path / "viz"), "--channel", channel]
+    assert run(_with_small_model(argv)) == 1
+    assert f"channel {channel}" in _assert_one_error_line(capsys)
+    assert not list(tmp_path.glob("viz/*.pgm"))
+
+
+def test_probe_with_empty_swap_source_exits_1(tmp_path, capsys):
+    data = tmp_path / "data"
+    write_dataset(generate_dataset(GeneratorConfig(n=2, image_size=32), base_seed=5),
+                  data)
+    ckpt = tmp_path / "full.ctxn"
+    save_checkpoint(ckpt, init_weights(SMALL_MC))
+    argv = ["probe", "--checkpoint", str(ckpt), "--data", str(data),
+            "--swap", ":right", "--out", str(tmp_path / "probe")]
+    assert run(_with_small_model(argv)) == 1
+    assert "source word is empty" in _assert_one_error_line(capsys)
+    assert not (tmp_path / "probe" / "probe.json").exists()
+
+
 def test_eval_with_mismatched_channels_exits_2(tmp_path, capsys):
     data = tmp_path / "data"
     write_dataset(generate_dataset(GeneratorConfig(n=2, image_size=32), base_seed=5),

@@ -6,10 +6,10 @@ import pytest
 import ctxseg.diffcore as dc
 from ctxseg.diffcore import DiffTensor, backward
 from ctxseg.errors import NumericalError, ShapeError
-from ctxseg.model import (CrossAttnParams, ModelConfig, _double_conv,
-                          cross_attention, init_weights, predict_mask,
-                          text_gated_forward, unet_forward, weight_shapes)
-from ctxseg.textenc import embed, tokenize
+from ctxseg.model import (ModelConfig, _double_conv, cross_attention,
+                          init_weights, predict_mask, text_gated_forward,
+                          unet_forward, weight_shapes)
+from ctxseg.textenc import ReportEmbedding, embed, tokenize
 
 from gradcheck import finite_diff_check
 from oracles import conv2d_loops, cross_attention_direct
@@ -123,21 +123,21 @@ class TestCrossAttention:
         w[f"xattn{level}.wv.w"].data[:] = 0
         w[f"xattn{level}.wv.b"].data[:] = 0
         q = DiffTensor(rng.standard_normal((2, 4, 8, 8)))
-        out = cross_attention(q, make_emb(), CrossAttnParams.from_weights(w, level))
+        out = cross_attention(q, [make_emb()] * 2, w, level)
         assert np.all(out.data == 0.0)
 
     def test_single_token_hand_computation(self, rng):
         cfg = tiny_config(max_tokens=1)
         w = init_weights(cfg)
-        params = CrossAttnParams.from_weights(w, 1)
         emb = embed(tokenize("pneumothorax", 1), cfg.d_e, cfg.embed_seed)
         q_arr = rng.standard_normal((1, 4, 4, 4)).astype(np.float32)
-        out = cross_attention(DiffTensor(q_arr), emb, params).data
+        out = cross_attention(DiffTensor(q_arr), [emb], w, 1).data
 
         # softmax over one token is [1], so the gate is tanh of the projected
         # value vector, identical for every pixel
-        k = emb.matrix.astype(np.float64) @ params.tproj_w.data + params.tproj_b.data
-        v = k @ params.wv_w.data + params.wv_b.data          # (1, c)
+        a = {k: t.data for k, t in w.items()}
+        k = emb.matrix.astype(np.float64) @ a["xattn1.tproj.w"] + a["xattn1.tproj.b"]
+        v = k @ a["xattn1.wv.w"] + a["xattn1.wv.b"]          # (1, c)
         gate = np.tanh(v)[0]                                  # (c,)
         want = q_arr * gate[None, :, None, None]
         np.testing.assert_allclose(out, want, atol=1e-6)
@@ -145,52 +145,47 @@ class TestCrossAttention:
     def test_token_permutation_invariance(self, rng):
         cfg = tiny_config()
         w = init_weights(cfg)
-        params = CrossAttnParams.from_weights(w, 1)
         emb = make_emb("small right basal pneumothorax seen on image today", cfg)
         assert emb.valid_len == cfg.max_tokens   # all rows are real tokens
         q = DiffTensor(rng.standard_normal((1, 4, 8, 8)))
-        out1 = cross_attention(q, emb, params).data
+        out1 = cross_attention(q, [emb], w, 1).data
         perm = rng.permutation(cfg.max_tokens)
-        from ctxseg.textenc import ReportEmbedding
         emb2 = ReportEmbedding(matrix=emb.matrix[perm], valid_len=emb.valid_len)
-        out2 = cross_attention(q, emb2, params).data
+        out2 = cross_attention(q, [emb2], w, 1).data
         np.testing.assert_allclose(out1, out2, atol=1e-6)
 
     def test_gating_bound(self, rng):
         cfg = tiny_config()
         w = init_weights(cfg)
         q_arr = rng.standard_normal((2, 4, 8, 8)).astype(np.float32)
-        out = cross_attention(DiffTensor(q_arr), make_emb(),
-                              CrossAttnParams.from_weights(w, 1)).data
+        out = cross_attention(DiffTensor(q_arr), [make_emb()] * 2, w, 1).data
         assert np.all(np.abs(out) <= np.abs(q_arr) + 1e-7)
 
     def test_padding_mask_ignores_pad_tokens(self, rng):
         cfg = tiny_config()
         w = init_weights(cfg)
-        params = CrossAttnParams.from_weights(w, 1)
         emb_short = make_emb("left pneumothorax", cfg)     # valid_len 2 of 8
         q = DiffTensor(rng.standard_normal((1, 4, 8, 8)))
-        masked = cross_attention(q, emb_short, params, attend_padding=False).data
+        masked = cross_attention(q, [emb_short], w, 1, attend_padding=False).data
         # corrupting the pad rows must not change the masked output
         corrupted = emb_short.matrix.copy()
         corrupted[emb_short.valid_len:] = 9.99
-        from ctxseg.textenc import ReportEmbedding
         emb_bad = ReportEmbedding(matrix=corrupted, valid_len=emb_short.valid_len)
-        masked2 = cross_attention(q, emb_bad, params, attend_padding=False).data
+        masked2 = cross_attention(q, [emb_bad], w, 1, attend_padding=False).data
         np.testing.assert_array_equal(masked, masked2)
 
     def test_non_finite_logits_raise(self, rng):
-        params = CrossAttnParams.from_weights(init_weights(tiny_config()), 1)
-        params.wq_w.data[0, 0] = np.inf
+        w = init_weights(tiny_config())
+        w["xattn1.wq.w"].data[0, 0] = np.inf
         q = DiffTensor(rng.standard_normal((1, 4, 8, 8)))
         with pytest.raises(NumericalError, match="cross-attention logits"):
-            cross_attention(q, make_emb(), params)
+            cross_attention(q, [make_emb()], w, 1)
 
     def test_no_gradient_into_embeddings(self, rng):
         cfg = tiny_config()
         w = init_weights(cfg)
         q = DiffTensor(rng.standard_normal((1, 4, 8, 8)), requires_grad=True)
-        out = cross_attention(q, make_emb(), CrossAttnParams.from_weights(w, 1))
+        out = cross_attention(q, [make_emb()], w, 1)
         backward(dc.mean_all(out))
         assert q.grad is not None
 
@@ -201,72 +196,71 @@ class TestCrossAttention:
     @pytest.mark.parametrize("attend_padding", [True, False])
     def test_batch_matches_per_item_oracle(self, verify64, rng, attend_padding):
         cfg = tiny_config()
-        params = CrossAttnParams.from_weights(init_weights(cfg), 1)
-        for t in vars(params).values():     # nonzero biases too
-            t.data[:] = 0.5 * rng.standard_normal(t.data.shape)
+        w = init_weights(cfg)
+        for name, t in w.items():           # nonzero biases too
+            if name.startswith("xattn1."):
+                t.data[:] = 0.5 * rng.standard_normal(t.data.shape)
         embs = [make_emb(text, cfg) for text in self.BATCH_REPORTS]
         assert [e.valid_len for e in embs] == [3, 7, 0]
         q = rng.standard_normal((3, 4, 6, 5))
-        got = cross_attention(DiffTensor(q), embs, params, attend_padding).data
+        got = cross_attention(DiffTensor(q), embs, w, 1, attend_padding).data
         want = cross_attention_direct(
             q, [e.matrix for e in embs], [e.valid_len for e in embs],
-            {k: t.data for k, t in vars(params).items()}, attend_padding)
+            {k: t.data for k, t in w.items()}, 1, attend_padding)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("attend_padding", [True, False])
     def test_other_items_report_leaves_item_bitwise_unchanged(self, rng,
                                                               attend_padding):
         cfg = tiny_config()
-        params = CrossAttnParams.from_weights(init_weights(cfg), 1)
+        w = init_weights(cfg)
         embs = [make_emb(text, cfg) for text in self.BATCH_REPORTS]
         q = DiffTensor(rng.standard_normal((3, 4, 8, 8)))
-        base = cross_attention(q, embs, params, attend_padding).data
+        base = cross_attention(q, embs, w, 1, attend_padding).data
         for j in range(3):
             changed = list(embs)
             changed[j] = make_emb("small left apical pneumothorax.", cfg)
-            got = cross_attention(q, changed, params, attend_padding).data
+            got = cross_attention(q, changed, w, 1, attend_padding).data
             assert not np.array_equal(got[j], base[j])
             for i in set(range(3)) - {j}:
                 np.testing.assert_array_equal(got[i], base[i])
 
     def test_capture_holds_every_item(self, rng):
         cfg = tiny_config()
-        params = CrossAttnParams.from_weights(init_weights(cfg), 1)
+        w = init_weights(cfg)
         embs = [make_emb(text, cfg) for text in self.BATCH_REPORTS]
         q = DiffTensor(rng.standard_normal((3, 4, 8, 8)))
         capture = {}
-        out = cross_attention(q, embs, params, capture=capture)
+        out = cross_attention(q, embs, w, 1, capture=capture)
         np.testing.assert_array_equal(capture["q"], q.data)
         np.testing.assert_array_equal(capture["qstar"], out.data)
         assert capture["tanh_a"].shape == (3, 4, 8, 8)
         for i, emb in enumerate(embs):
             one = {}
-            cross_attention(DiffTensor(q.data[i:i + 1]), emb, params, capture=one)
+            cross_attention(DiffTensor(q.data[i:i + 1]), [emb], w, 1, capture=one)
             for key in ("q", "tanh_a", "qstar"):
                 np.testing.assert_array_equal(capture[key][i], one[key][0])
 
     def test_masked_batch_gradients(self, verify64, rng):
         cfg = tiny_config()
         embs = [make_emb(text, cfg) for text in self.BATCH_REPORTS[:2]]
-        names = ("tproj_w", "tproj_b", "wq_w", "wq_b", "wk_w", "wk_b",
-                 "wv_w", "wv_b")
-        shapes = ((cfg.d_e, 4), (4,), (4, 4), (4,), (4, 4), (4,), (4, 4), (4,))
-        tensors = {k: DiffTensor(0.5 * rng.standard_normal(shape), requires_grad=True)
-                   for k, shape in zip(names, shapes)}
+        tensors = {name: DiffTensor(0.5 * rng.standard_normal(shape),
+                                    requires_grad=True)
+                   for name, shape in weight_shapes(cfg).items()
+                   if name.startswith("xattn1.")}
         tensors["q_feat"] = DiffTensor(rng.standard_normal((2, 4, 3, 3)),
                                        requires_grad=True)
-        params = CrossAttnParams(*(tensors[k] for k in names))
         r = DiffTensor(rng.standard_normal((2, 4, 3, 3)))
 
         def loss():
-            out = cross_attention(tensors["q_feat"], embs, params,
+            out = cross_attention(tensors["q_feat"], embs, tensors, 1,
                                   attend_padding=False)
             return dc.sum_all(dc.mul(out, r))
 
         report = finite_diff_check(loss, tensors, eps=1e-5, num_coords=1000)
         assert {c.param for c in report.checks} == set(tensors)
         for c in report.checks:
-            if c.param == "wk_b":
+            if c.param == "xattn1.wk.b":
                 # adds one constant to every logit of a row: softmax ignores
                 # it, so the true gradient is 0 and only an absolute bound fits
                 assert abs(c.analytic) < 1e-12 and abs(c.numeric) < 1e-9, c
@@ -279,7 +273,7 @@ class TestForwardPasses:
         cfg = tiny_config()
         w = init_weights(cfg)
         img = rng.random((3, 1, 16, 16)).astype(np.float32)
-        out = text_gated_forward(img, make_emb(), w, cfg)
+        out = text_gated_forward(img, [make_emb()] * 3, w, cfg)
         assert out.data.shape == (3, 1, 16, 16)
 
     def test_allpad_report_is_image_function(self, rng):
@@ -288,18 +282,18 @@ class TestForwardPasses:
         img = rng.random((1, 1, 16, 16)).astype(np.float32)
         e1 = make_emb("", cfg)
         e2 = make_emb("", cfg)
-        a = text_gated_forward(img, e1, w, cfg).data
-        b = text_gated_forward(img, e2, w, cfg).data
+        a = text_gated_forward(img, [e1], w, cfg).data
+        b = text_gated_forward(img, [e2], w, cfg).data
         np.testing.assert_array_equal(a, b)
 
     def test_different_reports_change_output(self, rng):
         cfg = tiny_config()
         w = init_weights(cfg)
         img = rng.random((1, 1, 16, 16)).astype(np.float32)
-        a = text_gated_forward(img, make_emb("large left apical pneumothorax.",
-                                             cfg), w, cfg).data
-        b = text_gated_forward(img, make_emb("small right basal pneumothorax.",
-                                             cfg), w, cfg).data
+        a = text_gated_forward(img, [make_emb("large left apical pneumothorax.",
+                                              cfg)], w, cfg).data
+        b = text_gated_forward(img, [make_emb("small right basal pneumothorax.",
+                                              cfg)], w, cfg).data
         assert not np.array_equal(a, b)
 
     def test_full_forward_token_permutation_invariance(self, rng):
@@ -307,11 +301,10 @@ class TestForwardPasses:
         w = init_weights(cfg)
         img = rng.random((1, 1, 16, 16)).astype(np.float32)
         emb = make_emb("small right basal pneumothorax seen on image today", cfg)
-        out1 = text_gated_forward(img, emb, w, cfg).data
-        from ctxseg.textenc import ReportEmbedding
+        out1 = text_gated_forward(img, [emb], w, cfg).data
         perm = rng.permutation(cfg.max_tokens)
         emb2 = ReportEmbedding(matrix=emb.matrix[perm], valid_len=emb.valid_len)
-        out2 = text_gated_forward(img, emb2, w, cfg).data
+        out2 = text_gated_forward(img, [emb2], w, cfg).data
         np.testing.assert_allclose(out1, out2, atol=1e-6)
 
     # A contralateral negation and its side-swapped twin hold the same tokens,
@@ -325,7 +318,7 @@ class TestForwardPasses:
         cfg = ModelConfig(attend_padding=attend_padding)
         w = init_weights(cfg)
         img = rng.random((1, 1, 64, 64)).astype(np.float32)
-        a, b = (text_gated_forward(img, make_emb(text, cfg), w, cfg).data
+        a, b = (text_gated_forward(img, [make_emb(text, cfg)], w, cfg).data
                 for text in self.NEGATION_TWINS)
         np.testing.assert_allclose(a, b, atol=1e-6)
         np.testing.assert_array_equal(predict_mask(a), predict_mask(b))
@@ -348,7 +341,7 @@ class TestForwardPasses:
         w = init_weights(cfg)
         with pytest.raises(ShapeError, match="expects 16x16"):
             text_gated_forward(rng.random((1, 1, 32, 32)).astype(np.float32),
-                               make_emb(), w, cfg)
+                               [make_emb()], w, cfg)
 
     def test_batch_embeddings_length_checked(self, rng):
         cfg = tiny_config()

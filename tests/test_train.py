@@ -154,6 +154,8 @@ ARMS_BY_TEXT_PATH = ("full", "no_text", "baseline_unet")
 class TestForwardBatchKReports:
     REPORTS = ["large left apical pneumothorax.", "large right apical pneumothorax.",
                "small left basal pneumothorax."]
+    # baseline_unet reads no report, so it takes one per image and nothing else
+    BASELINE_COUNT = "one report per image"
 
     @pytest.mark.parametrize("arm", ARMS_BY_TEXT_PATH)
     def test_logits_equal_k_single_report_forwards(self, tiny_dataset, arm):
@@ -161,6 +163,10 @@ class TestForwardBatchKReports:
         w = _as_weights(init_weights(cfg.model, arm != "baseline_unet"),
                         cfg.model, arm)
         image = tiny_dataset[0].image
+        if arm == "baseline_unet":
+            with pytest.raises(ShapeError, match=self.BASELINE_COUNT):
+                _forward_batch(w, [image], self.REPORTS, cfg, train=False)
+            return
         got = _forward_batch(w, [image], self.REPORTS, cfg, train=False).data
         assert got.shape[0] == len(self.REPORTS)
         for i, report in enumerate(self.REPORTS):
@@ -171,7 +177,9 @@ class TestForwardBatchKReports:
     def test_live_weights_raise(self, tiny_dataset, arm):
         cfg = tiny_train_config(ablation=arm)
         live = init_weights(cfg.model, arm != "baseline_unet")
-        with pytest.raises(ShapeError, match="records no graph"):
+        match = (self.BASELINE_COUNT if arm == "baseline_unet"
+                 else "records no graph")
+        with pytest.raises(ShapeError, match=match):
             _forward_batch(live, [tiny_dataset[0].image], self.REPORTS, cfg,
                            train=False)
 
@@ -180,7 +188,8 @@ class TestForwardBatchKReports:
         cfg = tiny_train_config(ablation=arm)
         w = _as_weights(init_weights(cfg.model, arm != "baseline_unet"),
                         cfg.model, arm)
-        with pytest.raises(ShapeError, match="embeddings"):
+        match = self.BASELINE_COUNT if arm == "baseline_unet" else "embeddings"
+        with pytest.raises(ShapeError, match=match):
             _forward_batch(w, [s.image for s in tiny_dataset[:2]], self.REPORTS,
                            cfg, train=False)
 
@@ -318,6 +327,14 @@ class TestWordSwapProbe:
     def test_swap_word_is_word_bounded(self):
         assert swap_word("left leftover cleft", "left", "right") == \
                "right leftover cleft"
+
+    def test_empty_target_word_deletes_the_word(self, tiny_dataset):
+        cfg = tiny_train_config()
+        assert swap_word("a left pneumothorax", "left", "") == "a  pneumothorax"
+        rep = word_swap_probe(init_weights(cfg.model), tiny_dataset, [("left", "")],
+                              cfg)
+        assert rep["swaps"]["left->"]["samples"] == sum(
+            swap_word(s.report, "left", "") != s.report for s in tiny_dataset)
 
 
 class TestAttentionDump:
