@@ -10,6 +10,22 @@ The magnitude bounds are module constants, not policy fields: a larger
 shift or rotation can carry a mask across the midline and contradict the
 report's side word. The 1000-seed concordance test in tests/test_augment.py
 checks them. AugmentPolicy chooses only which augmentations run.
+
+A warp is an inverse map: output pixel (i, j) reads the input at
+coordinates (cy, cx). Its two samplers have fixed boundary rules:
+
+- `_bilinear` (the image, and the grid warp's node displacements) weighs
+  the corners floor(c) and floor(c) + 1 by 1 - t and 1 - (1 - t), where
+  t = c - floor(c), with each corner index clamped into [0, n-1]. That is
+  bilinear interpolation with the coordinate clamped into [0, n-1]; clamping
+  the indices, not the coordinate, fixes the rounding.
+- `_nearest` (the mask) reads index floor(c + 0.5) when 0 <= c <= n-1 on
+  both axes, and 0 otherwise. The interval is closed: at n = 6, c = 5.0
+  reads index 5 but c = -1e-9 and c = 5.0000001 read 0, and c = 0.5 reads
+  index 1.
+
+The elastic warp smooths its random field with `data._blur`, whose
+boundary rule the data module states.
 """
 
 from __future__ import annotations
@@ -18,9 +34,8 @@ import re
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, map_coordinates
 
-from .data import Sample
+from .data import Sample, _blur
 from .errors import RejectedSample
 from .util import mix64, rng_from
 
@@ -90,14 +105,38 @@ def photometric(image: np.ndarray, kind: str, magnitude: float) -> np.ndarray:
     return np.power(image, np.float32(magnitude))
 
 
-def _warp(sample: Sample, coords: np.ndarray, area_factor: float) -> Sample:
+def _bilinear(img: np.ndarray, cy: np.ndarray, cx: np.ndarray) -> np.ndarray:
+    """float64 bilinear samples of img at (cy, cx); see the module docstring."""
+    h, w = img.shape
+    fy, fx = np.floor(cy), np.floor(cx)
+    wy0, wx0 = 1.0 - (cy - fy), 1.0 - (cx - fx)
+    wy1, wx1 = 1.0 - wy0, 1.0 - wx0
+    y0 = np.clip(fy, 0, h - 1).astype(np.intp)
+    y1 = np.clip(fy + 1, 0, h - 1).astype(np.intp)
+    x0 = np.clip(fx, 0, w - 1).astype(np.intp)
+    x1 = np.clip(fx + 1, 0, w - 1).astype(np.intp)
+    return (img[y0, x0] * wy0 * wx0 + img[y0, x1] * wy0 * wx1
+            + img[y1, x0] * wy1 * wx0 + img[y1, x1] * wy1 * wx1)
+
+
+def _nearest(img: np.ndarray, cy: np.ndarray, cx: np.ndarray) -> np.ndarray:
+    """Nearest samples of img at (cy, cx), 0 outside the closed frame."""
+    h, w = img.shape
+    inside = (cy >= 0) & (cy <= h - 1) & (cx >= 0) & (cx <= w - 1)
+    iy = np.floor(np.where(inside, cy, 0.0) + 0.5).astype(np.intp)
+    ix = np.floor(np.where(inside, cx, 0.0) + 0.5).astype(np.intp)
+    return np.where(inside, img[iy, ix], 0)
+
+
+def _warp(sample: Sample, cy: np.ndarray, cx: np.ndarray,
+          area_factor: float) -> Sample:
     """Apply one inverse coordinate map to image (bilinear) and mask (nearest).
 
     Raises RejectedSample when more than 25% of the expected mask mass is
     lost, which at these magnitudes means the mask ran out of frame.
     """
-    image = map_coordinates(sample.image, coords, order=1, mode="nearest")
-    mask = map_coordinates(sample.mask, coords, order=0, mode="constant", cval=0)
+    image = _bilinear(sample.image, cy, cx)
+    mask = _nearest(sample.mask, cy, cx)
     before = float(sample.mask.sum())
     if before > 0:
         expected = before * area_factor
@@ -116,24 +155,24 @@ def geometric_distort(sample: Sample, kind: str, params: dict, rng) -> Sample:
 
     if kind == "elastic":
         alpha, sigma = params["alpha"], params["sigma"]
-        dy = gaussian_filter(rng.uniform(-1, 1, (s, s)), sigma) * alpha
-        dx = gaussian_filter(rng.uniform(-1, 1, (s, s)), sigma) * alpha
-        coords = np.stack([yy + dy, xx + dx])
+        dy = _blur(rng.uniform(-1, 1, (s, s)), sigma) * alpha
+        dx = _blur(rng.uniform(-1, 1, (s, s)), sigma) * alpha
+        cy, cx = yy + dy, xx + dx
     elif kind == "grid":
         cells, jitter = params["cells"], params["jitter"]
         cell = s / cells
         nodes_y = rng.uniform(-jitter, jitter, (cells + 1, cells + 1)) * cell
         nodes_x = rng.uniform(-jitter, jitter, (cells + 1, cells + 1)) * cell
-        node_pos = np.stack([yy / cell, xx / cell])
-        dy = map_coordinates(nodes_y, node_pos, order=1, mode="nearest")
-        dx = map_coordinates(nodes_x, node_pos, order=1, mode="nearest")
-        coords = np.stack([yy + dy, xx + dx])
+        node_y, node_x = yy / cell, xx / cell
+        dy = _bilinear(nodes_y, node_y, node_x)
+        dx = _bilinear(nodes_x, node_y, node_x)
+        cy, cx = yy + dy, xx + dx
     elif kind == "optical":
         k = params["k"]
         c = (s - 1) / 2.0
         rn2 = (((xx - c) / c) ** 2 + ((yy - c) / c) ** 2)
         factor = 1.0 + k * rn2
-        coords = np.stack([c + (yy - c) * factor, c + (xx - c) * factor])
+        cy, cx = c + (yy - c) * factor, c + (xx - c) * factor
     elif kind == "ssr":
         sh_x = params["shift_x"] * s
         sh_y = params["shift_y"] * s
@@ -143,13 +182,13 @@ def geometric_distort(sample: Sample, kind: str, params: dict, rng) -> Sample:
         py = (yy - c - sh_y) / sc
         px = (xx - c - sh_x) / sc
         cos_t, sin_t = np.cos(-th), np.sin(-th)
-        coords = np.stack([c + px * sin_t + py * cos_t,
-                           c + px * cos_t - py * sin_t])
+        cy = c + px * sin_t + py * cos_t
+        cx = c + px * cos_t - py * sin_t
         area_factor = sc * sc
     else:
         raise ValueError(f"unknown distortion kind {kind!r}")
 
-    return _warp(sample, coords, area_factor)
+    return _warp(sample, cy, cx, area_factor)
 
 
 def sentence_shuffle(text: str, rng) -> str:

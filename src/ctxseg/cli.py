@@ -298,10 +298,10 @@ def _cmd_viz(args) -> int:
     if not 0 <= args.index < len(samples):
         raise CliUsageError(f"--index {args.index} outside dataset of {len(samples)}")
     src, dst = _parse_swaps([args.swap])[0]
-    echo["data"]["dir"] = path
-    _write_echo(args.out, "viz", echo)
     files = attention_dump(args.checkpoint, samples[args.index], args.out, cfg,
                            swap=(src, dst), channel=args.channel)
+    echo["data"]["dir"] = path
+    _write_echo(args.out, "viz", echo)
     print(f"wrote {len(files)} maps to {args.out}")
     return 0
 

@@ -177,14 +177,20 @@ def _snapshot(weights: dict) -> dict:
 
 def train(cfg: TrainConfig, dataset, out_dir, fold_seed: int | None = None
           ) -> RunRecord:
-    """Train one fold: augment, optimize, select on validation, test."""
-    if not dataset:
-        raise ValueError("train needs a nonempty dataset")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Train one fold: augment, optimize, select on validation, test.
+
+    A split that leaves the train, validation or test part empty raises
+    ValueError before the first epoch."""
     fold_seed = cfg.split.fold_seeds[0] if fold_seed is None else fold_seed
     tr_idx, va_idx, te_idx = split_indices(len(dataset), cfg.split.fractions,
                                            fold_seed)
+    for part, idx in (("train", tr_idx), ("validation", va_idx), ("test", te_idx)):
+        if not idx:
+            raise ValueError(
+                f"split.fractions {tuple(cfg.split.fractions)} leave the {part} "
+                f"part of {len(dataset)} samples empty")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     policy = _effective_policy(cfg)
     use_attn = cfg.ablation != "baseline_unet"
     weights = init_weights(cfg.model, with_attention=use_attn)
@@ -217,26 +223,17 @@ def train(cfg: TrainConfig, dataset, out_dir, fold_seed: int | None = None
             dc.backward(loss)
             dc.adamw_step(weights, opt)
             losses.append(loss_val)
-        train_losses.append(float(np.mean(losses)) if losses else 0.0)
+        train_losses.append(float(np.mean(losses)))
 
-        if val_samples:
-            res = evaluate(weights, val_samples, cfg)
-            val_dices.append(res.mean)
-            if res.mean > best_dice:            # strict: earlier epoch wins ties
-                best_dice, best_epoch, best_state = res.mean, epoch, _snapshot(weights)
-        else:
-            val_dices.append(0.0)
-            if best_state is None:
-                best_dice, best_epoch, best_state = 0.0, epoch, _snapshot(weights)
+        res = evaluate(weights, val_samples, cfg)
+        val_dices.append(res.mean)
+        if res.mean > best_dice:                # strict: earlier epoch wins ties
+            best_dice, best_epoch, best_state = res.mean, epoch, _snapshot(weights)
 
     ckpt_path = out_dir / "checkpoint.ctxn"
     dc.save_checkpoint(ckpt_path, best_state)
 
-    test_samples = [dataset[i] for i in te_idx]
-    if test_samples:
-        test = evaluate(str(ckpt_path), test_samples, cfg)
-    else:
-        test = EvalResult(mean=0.0, sd=0.0, scores=[])
+    test = evaluate(str(ckpt_path), [dataset[i] for i in te_idx], cfg)
 
     record = RunRecord(
         ablation=cfg.ablation,

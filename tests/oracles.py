@@ -135,3 +135,60 @@ def cross_attention_direct(q, token_mats, valid_lens, weights, level,
                 mix = sum(weights[t] / total * values[t] for t in range(count))
                 out[i, :, y, x] = np.tanh(mix) * pixel
     return out
+
+
+def gaussian_blur_loops(img, sigma):
+    """Separable Gaussian, axis 0 then axis 1, one tap at a time.
+
+    Taps exp(-x^2 / 2 sigma^2) for |x| <= int(4 sigma + 0.5), normalized; an
+    index off the image is reflected about the edge again and again
+    (d c b a | a b c d | d c b a) until it lands inside.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    taps = [np.exp(-x * x / (2.0 * sigma * sigma)) for x in range(-radius, radius + 1)]
+    total = sum(taps)
+    taps = [t / total for t in taps]
+
+    def reflect(j, n):
+        while not 0 <= j < n:
+            j = -j - 1 if j < 0 else 2 * n - 1 - j
+        return j
+
+    def along_rows(a):
+        n, m = a.shape
+        out = np.zeros((n, m), dtype=np.float64)
+        for i in range(n):
+            for j in range(m):
+                out[i, j] = sum(taps[k] * a[reflect(i + k - radius, n), j]
+                                for k in range(2 * radius + 1))
+        return out
+
+    return along_rows(along_rows(np.asarray(img, dtype=np.float64)).T).T
+
+
+def bilinear_loops(img, cy, cx):
+    """Bilinear samples with each coordinate first clamped into [0, n-1]."""
+    img = np.asarray(img, dtype=np.float64)
+    h, w = img.shape
+    out = np.zeros(cy.shape, dtype=np.float64)
+    for idx in np.ndindex(cy.shape):
+        y = min(max(float(cy[idx]), 0.0), h - 1.0)
+        x = min(max(float(cx[idx]), 0.0), w - 1.0)
+        y0, x0 = int(np.floor(y)), int(np.floor(x))
+        y1, x1 = min(y0 + 1, h - 1), min(x0 + 1, w - 1)
+        ty, tx = y - y0, x - x0
+        out[idx] = ((1 - ty) * ((1 - tx) * img[y0, x0] + tx * img[y0, x1])
+                    + ty * ((1 - tx) * img[y1, x0] + tx * img[y1, x1]))
+    return out
+
+
+def nearest_loops(img, cy, cx):
+    """img at (floor(cy + 0.5), floor(cx + 0.5)) inside the closed frame
+    0 <= c <= n-1 on both axes, and 0 outside it."""
+    h, w = img.shape
+    out = np.zeros(cy.shape, dtype=img.dtype)
+    for idx in np.ndindex(cy.shape):
+        y, x = float(cy[idx]), float(cx[idx])
+        if 0.0 <= y <= h - 1 and 0.0 <= x <= w - 1:
+            out[idx] = img[int(np.floor(y + 0.5)), int(np.floor(x + 0.5))]
+    return out

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from ctxseg.augment import (DEFAULT_LEXICON, AugmentPolicy, augment_sample,
-                            geometric_distort, hflip, photometric,
+from ctxseg.augment import (DEFAULT_LEXICON, AugmentPolicy, _bilinear, _nearest,
+                            augment_sample, geometric_distort, hflip, photometric,
                             sentence_shuffle, synonym_replace)
 from ctxseg.data import (GeneratorConfig, Sample, SampleAttrs, centroid_side,
                          generate_sample)
 from ctxseg.util import rng_from
+
+from oracles import bilinear_loops, nearest_loops
 
 
 def make_sample(seed=0, **kwargs):
@@ -131,6 +133,44 @@ class TestGeometric:
         # the pipeline-level retry then pass-through keeps the sample intact
         out = augment_sample(s, policy, seed=3)
         assert set(np.unique(out.mask)) <= {0, 1}
+
+
+class TestSamplers:
+    def test_nearest_reads_the_closed_frame(self):
+        img = (np.arange(36, dtype=np.uint8) + 1).reshape(6, 6)
+        col = np.full(4, 2.0)
+        out = _nearest(img, np.array([-1e-9, 5.0000001, 5.0, 0.5]), col)
+        np.testing.assert_array_equal(out, [0, 0, img[5, 2], img[1, 2]])
+        out = _nearest(img, col, np.array([-1e-9, 5.0000001, 5.0, 0.5]))
+        np.testing.assert_array_equal(out, [0, 0, img[2, 5], img[2, 1]])
+
+    def test_both_match_oracles_on_the_edges(self, rng):
+        # n = 6: the closed frame is [0, 5] on each axis
+        edges = [-1e-9, 0.0, 0.5, 2.5, 4.5, 5.0, 5.0000001, -3.7, 9.2]
+        cy, cx = np.meshgrid(edges, edges, indexing="ij")
+        mask = (np.arange(36, dtype=np.uint8) + 1).reshape(6, 6)
+        np.testing.assert_array_equal(_nearest(mask, cy, cx), nearest_loops(mask, cy, cx))
+        img = rng.random((6, 6))
+        np.testing.assert_allclose(_bilinear(img, cy, cx), bilinear_loops(img, cy, cx),
+                                   rtol=1e-12, atol=1e-14)
+
+    def test_bilinear_hits_the_grid_exactly(self, rng):
+        img = rng.random((6, 6))
+        yy, xx = np.mgrid[0:6, 0:6].astype(np.float64)
+        np.testing.assert_array_equal(_bilinear(img, yy, xx), img)
+
+    @pytest.mark.parametrize("n", [2, 7, 33])
+    def test_both_match_oracles_on_wide_random_fields(self, n, rng):
+        img = rng.random((n, n)).astype(np.float32)
+        mask = (rng.random((n, n)) < 0.5).astype(np.uint8)
+        for _ in range(5):
+            cy = rng.uniform(-5, n + 5, (n, n))
+            cx = rng.uniform(-5, n + 5, (n, n))
+            np.testing.assert_allclose(_bilinear(img, cy, cx),
+                                       bilinear_loops(img, cy, cx),
+                                       rtol=1e-12, atol=1e-14)
+            np.testing.assert_array_equal(_nearest(mask, cy, cx),
+                                          nearest_loops(mask, cy, cx))
 
 
 class TestText:

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +114,31 @@ def test_augment_bounds_are_not_config_keys(overrides, data_dir, tmp_path, capsy
     assert not (out / "checkpoint.ctxn").exists()
 
 
+@pytest.mark.parametrize("fractions,part", [
+    ("[0.8,0.0,0.2]", "validation"),
+    ("[0.5,0.5,0.0]", "test"),
+])
+def test_train_with_an_empty_split_part_exits_1(fractions, part, data_dir, tmp_path,
+                                                capsys):
+    out = tmp_path / "run"
+    argv = ["train", "--data", str(data_dir), "--out", str(out),
+            "--override", "train.epochs=1", "--override", f"split.fractions={fractions}"]
+    assert run(_with_small_model(argv)) == 1
+    line = _assert_one_error_line(capsys)
+    assert f"leave the {part} part of 8 samples empty" in line
+    assert not (out / "checkpoint.ctxn").exists()
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys, ctxseg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_predict_on_baseline_checkpoint(tmp_path):
     ckpt = tmp_path / "baseline.ctxn"
     save_checkpoint(ckpt, init_weights(SMALL_MC, with_attention=False))
@@ -146,6 +175,7 @@ def test_viz_on_baseline_checkpoint_exits_1(tmp_path, capsys):
             "--out", str(tmp_path / "viz"), "--override", "train.ablation=baseline_unet"]
     assert run(_with_small_model(argv)) == 1
     _assert_one_error_line(capsys)
+    assert not (tmp_path / "viz" / "invocation.json").exists()
 
 
 @pytest.mark.parametrize("batch_size", [-1, 0])
@@ -172,6 +202,7 @@ def test_viz_with_channel_outside_the_model_exits_1(channel, tmp_path, capsys):
     assert run(_with_small_model(argv)) == 1
     assert f"channel {channel}" in _assert_one_error_line(capsys)
     assert not list(tmp_path.glob("viz/*.pgm"))
+    assert not (tmp_path / "viz" / "invocation.json").exists()
 
 
 def test_probe_with_empty_swap_source_exits_1(tmp_path, capsys):

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxseg.data import (GeneratorConfig, Sample, SampleAttrs, SplitSpec,
-                         centroid_side, decode_image, dice, encode_image,
+                         _blur, centroid_side, decode_image, dice, encode_image,
                          generate_dataset, generate_sample, read_dataset,
                          read_pgm, split_indices, write_dataset, write_pgm)
 from ctxseg.errors import DataFormatError, ShapeError
 
-from oracles import dice_counters
+from oracles import dice_counters, gaussian_blur_loops
 
 _WORD_RE = re.compile(r"[a-z]+")
 
@@ -242,6 +242,21 @@ class TestCentroidSide:
         side, mirrored = centroid_side(m), centroid_side(m[:, ::-1])
         assert (side is None) == (mirrored is None)
         assert side is None or side != mirrored
+
+
+class TestBlur:
+    @pytest.mark.parametrize("n,sigma", [
+        (32, 2.0),     # the noise field at 32 px
+        (64, 4.0),     # the noise field at 64 px
+        (32, 0.7),     # a crescent's edge
+        (32, 6.0),     # the elastic field at 32 px: radius 24 of 32
+        (5, 3.0),      # radius 12 > n: reflected again and again
+        (1, 1.0),
+    ])
+    def test_matches_tap_by_tap_oracle(self, n, sigma, rng):
+        img = rng.standard_normal((n, n))
+        np.testing.assert_allclose(_blur(img, sigma), gaussian_blur_loops(img, sigma),
+                                   rtol=1e-12, atol=1e-14)
 
 
 class TestSplits:
