@@ -4,7 +4,8 @@ Every default transform leaves the truth of the report's side/zone/presence
 statements intact: photometric edits touch intensities only, and the warps
 are bounded so a mask never migrates across the midline. Horizontal flip is
 the deliberate exception; it mirrors pixels while leaving the report alone
-and exists only for the concordance-breaking ablation (p_hflip defaults 0).
+and exists only for the concordance-breaking `flip` arm, which
+train.paper_arms builds by setting p_hflip to 0.5 (it defaults to 0).
 
 The magnitude bounds are module constants, not policy fields: a larger
 shift or rotation can carry a mask across the midline and contradict the

@@ -4,9 +4,10 @@ Subcommands: gen-data, train, eval, ablate, probe, viz, predict. Configs are
 one JSON document with sections train/model/augment/split/data plus a top
 level seed; an empty or missing file means all defaults. Dotted --override
 keys (repeatable) are applied last. --override is the one way to set the seed
-and the sample count: `--override seed=3`, `--override data.n=16`. Every
-artifact-producing run writes `invocation.json`, the config sections its
-command reads plus a top-level "command" name that loading skips, so
+and the sample count: `--override seed=3`, `--override data.n=16`. `ablate`
+runs the four arms of train.paper_arms. Every artifact-producing run that
+succeeds writes `invocation.json`, the config sections its command reads
+plus a top-level "command" name that loading skips, so
 `--config run/invocation.json` repeats the run.
 
 Exit codes: 0 success; 1 usage or config error, or any other invalid value
@@ -32,8 +33,8 @@ from .data import (GeneratorConfig, SplitSpec, decode_image, dice,
                    write_pgm)
 from .errors import ConfigError, DataFormatError, NumericalError, ShapeError
 from .model import ModelConfig
-from .train import (TrainConfig, ablate, attention_dump, evaluate, train,
-                    word_swap_probe)
+from .train import (TrainConfig, ablate, attention_dump, evaluate, paper_arms,
+                    train, word_swap_probe)
 
 _SECTIONS = {
     "train": TrainConfig,
@@ -42,8 +43,8 @@ _SECTIONS = {
     "split": SplitSpec,
     "data": GeneratorConfig,
 }
-_TRAIN_SCALARS = ("lr", "epochs", "batch_size", "ablation", "threshold",
-                  "beta1", "beta2", "eps", "weight_decay")
+_TRAIN_SCALARS = tuple(f.name for f in fields(TrainConfig)
+                       if f.name not in ("seed", "model", "policy", "split"))
 _TUPLE_FIELDS = {"fractions"}
 
 
@@ -241,9 +242,9 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     cfg, _, data_dir, echo = load_config(args.config, args.override)
     samples, path = _load_samples(args, data_dir)
+    record = train(cfg, samples, args.out)
     echo["data"]["dir"] = path
     _write_echo(args.out, "train", echo)
-    record = train(cfg, samples, args.out)
     print(f"arm={record.ablation} best_epoch={record.best_epoch} "
           f"test_dice={record.test_dice_mean:.4f} sd={record.test_dice_sd:.4f}")
     return 0
@@ -266,9 +267,9 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg, _, data_dir, echo = load_config(args.config, args.override)
     samples, path = _load_samples(args, data_dir)
+    out = ablate(paper_arms(cfg), samples, args.out, jobs=args.jobs)
     echo["data"]["dir"] = path
     _write_echo(args.out, "ablate", echo)
-    out = ablate(cfg, samples, args.out, jobs=args.jobs)
     for arm, row in out["summary"].items():
         delta = row["delta_vs_full"]
         delta_s = f" delta={delta:+.4f}" if delta is not None else ""

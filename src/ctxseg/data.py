@@ -282,6 +282,8 @@ def write_dataset(samples, out_dir, meta: dict | None = None) -> None:
 
 
 def read_dataset(dir_path) -> list:
+    """DataFormatError names the manifest line of a malformed file, or of an
+    image or mask sized unlike the first image."""
     dir_path = Path(dir_path)
     manifest = dir_path / "manifest.jsonl"
     if not manifest.exists():
@@ -297,6 +299,11 @@ def read_dataset(dir_path) -> list:
             if maxval != 65535:
                 raise DataFormatError(f"{rec['image']}: image must be 16-bit")
             raw_mask, _ = read_pgm(dir_path / rec["mask"])
+            size = samples[0].image.shape if samples else raw_img.shape
+            if raw_img.shape != size or raw_mask.shape != size:
+                raise DataFormatError(
+                    f"manifest line {lineno}: image {raw_img.shape} and mask "
+                    f"{raw_mask.shape} must both match the first image's {size}")
             samples.append(Sample(
                 image=decode_image(raw_img),
                 mask=(raw_mask > 127).astype(np.uint8),

@@ -113,13 +113,12 @@ def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
 # attention
 
 def attention_gate(q: DiffTensor, wq_w: DiffTensor, wq_b: DiffTensor,
-                   keys: DiffTensor, values: DiffTensor, mask=None) -> DiffTensor:
-    """The (n, c, h, w) text gate tanh(V^T softmax_l(K (Wq^T q + bq) / sqrt(c)
-    + mask)) of NCHW features q against each item's report tokens.
+                   keys: DiffTensor, values: DiffTensor) -> DiffTensor:
+    """The (n, c, h, w) text gate tanh(V^T softmax_l(K (Wq^T q + bq) / sqrt(c)))
+    of NCHW features q against each item's report tokens.
 
     wq_w (c, c) is an (in, out) query projection with bias wq_b (c,); keys
-    and values are (n, l, c), one row per token; mask is None or an (n, l)
-    additive constant, 0 where a token may be attended. Forward and backward
+    and values are (n, l, c), one row per token. Forward and backward
     keep q as (n, c, h*w) and the logits as (n, l, h*w), so the softmax
     reduces across the l token rows over contiguous pixel runs.
     NumericalError if a logit is not finite.
@@ -136,15 +135,11 @@ def attention_gate(q: DiffTensor, wq_w: DiffTensor, wq_b: DiffTensor,
                          f"need ({n}, l >= 1, {c})")
     if values.data.shape != sk:
         raise ShapeError(f"attention_gate: values {values.data.shape} != keys {sk}")
-    if mask is not None and np.shape(mask) != sk[:2]:
-        raise ShapeError(f"attention_gate: mask {np.shape(mask)} != {sk[:2]}")
     inv_sqrt_c = 1.0 / math.sqrt(c)
     qf = q.data.reshape(n, c, h * w)
     qp = wq_w.data.T @ qf + wq_b.data[:, None]            # (n, c, h*w)
     a = keys.data @ qp                                     # (n, l, h*w)
     a *= inv_sqrt_c
-    if mask is not None:
-        a += np.asarray(mask, dtype=a.dtype)[:, :, None]
     if not np.all(np.isfinite(a)):
         raise NumericalError("non-finite values in cross-attention logits")
     a -= a.max(axis=1, keepdims=True)

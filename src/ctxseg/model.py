@@ -26,12 +26,10 @@ from .util import fnv1a_str, rng_from
 
 @dataclass
 class ModelConfig:
-    image_size: int = 64
     channels: list = field(default_factory=lambda: [8, 16, 32])
     bottleneck: int = 64
     d_e: int = 32
     max_tokens: int = 32
-    attend_padding: bool = True
     init_seed: int = 0
     embed_seed: int = 7001
 
@@ -41,9 +39,6 @@ class ModelConfig:
         ladder = list(self.channels) + [self.bottleneck]
         if any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ValueError(f"channel ladder must be strictly increasing: {ladder}")
-        if self.image_size % (2 ** self.depth):
-            raise ValueError(
-                f"image_size {self.image_size} not divisible by 2^{self.depth}")
         if self.d_e < 1 or self.max_tokens < 1:
             raise ValueError("d_e and max_tokens must be at least 1")
 
@@ -142,46 +137,37 @@ def _double_conv(x, weights, prefix, train, skip=None):
     return x
 
 
-_MASK_NEG = -1e30  # additive pre-softmax mask; underflows to exactly 0 after exp
-
-
 def cross_attention(q_feat: DiffTensor, embs: list, weights: dict, level: int,
-                    attend_padding: bool = True, capture: dict | None = None
-                    ) -> DiffTensor:
+                    capture: dict | None = None) -> DiffTensor:
     """Gate pixel features by attention over report tokens, batch at once.
 
-    `embs` holds one ReportEmbedding per item of Q (n, c, h, w); the gate
-    reads its weights by name, `xattn{level}.tproj.w` and the like. Each
-    item's token matrix E (l, d_e) is stacked to (n, l, d_e) and projected to
+    `embs` holds one (l, d_e) token matrix from textenc.embed per item of Q
+    (n, c, h, w); the gate reads its weights by name, `xattn{level}.tproj.w`
+    and the like. The matrices are stacked to E (n, l, d_e) and projected to
     T = E Wt + bt, keys T Wk + bk and values T Wv + bv, all (n, l, c). One
-    `attention_gate` node lets every pixel of Q attend over its own item's
-    tokens (scaled dot product, softmax across the l tokens) and squashes
-    the value mix through tanh; the gate then multiplies Q elementwise. With
-    attend_padding off, positions past each item's valid_len are masked out
-    pre-softmax (position 0 always stays attendable so all-pad reports
-    remain defined). `capture` receives the input, tanh gate and output maps
-    of every item, as (n, c, h, w) arrays under "q", "tanh_a" and "qstar".
+    `attention_gate` node lets every pixel of Q attend over all l of its own
+    item's tokens, padding included (scaled dot product, softmax across the
+    l tokens), and squashes the value mix through tanh; the gate then
+    multiplies Q elementwise. `capture` receives the input, tanh gate and
+    output maps of every item, as (n, c, h, w) arrays under "q", "tanh_a"
+    and "qstar".
     """
     n, c, h, w = q_feat.data.shape
     if len(embs) != n:
         raise ShapeError(f"{len(embs)} embeddings for batch of {n}")
-    l, d_e = embs[0].matrix.shape
+    d_e = embs[0].shape[1]
     p = f"xattn{level}"
     tproj_w = weights[f"{p}.tproj.w"]
     if tproj_w.data.shape != (d_e, c):
         raise ShapeError(
             f"text projection is {tproj_w.data.shape}, needs ({d_e}, {c})")
 
-    e = DiffTensor(np.stack([emb.matrix for emb in embs]))      # frozen: no grad path
+    e = DiffTensor(np.stack(embs))                          # frozen: no grad path
     t = dc.add_rowvec(dc.matmul(e, tproj_w), weights[f"{p}.tproj.b"])
     keys = dc.add_rowvec(dc.matmul(t, weights[f"{p}.wk.w"]), weights[f"{p}.wk.b"])
     values = dc.add_rowvec(dc.matmul(t, weights[f"{p}.wv.w"]), weights[f"{p}.wv.b"])
-    mask = None
-    if not attend_padding:
-        valid = np.maximum([emb.valid_len for emb in embs], 1)
-        mask = np.where(np.arange(l) < valid[:, None], 0.0, _MASK_NEG)
     gate = dc.attention_gate(q_feat, weights[f"{p}.wq.w"], weights[f"{p}.wq.b"],
-                             keys, values, mask)
+                             keys, values)
     out = dc.mul(gate, q_feat)
     if capture is not None:
         capture["q"] = q_feat.data.copy()
@@ -193,10 +179,11 @@ def cross_attention(q_feat: DiffTensor, embs: list, weights: dict, level: int,
 def _prepare_image(image, cfg: ModelConfig) -> DiffTensor:
     x = image if isinstance(image, DiffTensor) else DiffTensor(image)
     if x.data.ndim != 4 or x.data.shape[1] != 1:
-        raise ShapeError(f"expected N x 1 x S x S input, got {x.data.shape}")
-    if x.data.shape[2] != cfg.image_size or x.data.shape[3] != cfg.image_size:
-        raise ShapeError(f"input is {x.data.shape[2]}x{x.data.shape[3]}, "
-                         f"model expects {cfg.image_size}x{cfg.image_size}")
+        raise ShapeError(f"expected N x 1 x H x W input, got {x.data.shape}")
+    h, w = x.data.shape[2:]
+    if h % 2 ** cfg.depth or w % 2 ** cfg.depth:
+        raise ShapeError(f"input is {h}x{w}; the model needs sides divisible "
+                         f"by 2^depth = {2 ** cfg.depth}")
     return x
 
 
@@ -228,7 +215,7 @@ def _updown(image, embs, weights, cfg, train, capture):
         x = dc.upconv2(x, weights[f"up{i}.w"], weights[f"up{i}.b"])
         if embs is not None:
             cap_i = {} if capture is not None else None
-            x = cross_attention(x, embs, weights, i, cfg.attend_padding, cap_i)
+            x = cross_attention(x, embs, weights, i, cap_i)
             if capture is not None:
                 capture[i] = cap_i
         x = _double_conv(x, weights, f"dec{i}", train, skip=skips[i - 1])
@@ -240,7 +227,7 @@ def text_gated_forward(image, embs: list, weights: dict, cfg: ModelConfig,
                        ) -> DiffTensor:
     """Full forward pass: encoder, bottleneck, gated decoder, 1x1 logit head.
 
-    `embs` is a list of ReportEmbedding, one per image. An eval-mode forward
+    `embs` holds one textenc.embed matrix per image. An eval-mode forward
     that records no graph also takes one image under k reports: the encoder
     runs once at batch 1 and the decoder at batch k, giving the logits of k
     single-report forwards, bitwise. Any other count mismatch, or k reports

@@ -30,12 +30,6 @@ class Report:
     valid_len: int
 
 
-@dataclass
-class ReportEmbedding:
-    matrix: np.ndarray          # (max_tokens, d_e) float32, rows unit-norm
-    valid_len: int
-
-
 def _split_punct(word: str):
     """Split leading/trailing/inner punctuation into standalone tokens."""
     out, run = [], []
@@ -86,9 +80,9 @@ def _row(seed: int, tid: int, d_e: int) -> np.ndarray:
     return row
 
 
-def embed(report: Report, d_e: int, seed: int) -> ReportEmbedding:
-    """Look up the frozen unit-norm row for each token id."""
+def embed(report: Report, d_e: int, seed: int) -> np.ndarray:
+    """The (max_tokens, d_e) float32 matrix of the frozen unit-norm row of
+    each token id, padding included."""
     if d_e < 1:
         raise ValueError(f"d_e must be >= 1, got {d_e}")
-    mat = np.stack([_row(seed, tid, d_e) for tid in report.ids])
-    return ReportEmbedding(matrix=mat, valid_len=report.valid_len)
+    return np.stack([_row(seed, tid, d_e) for tid in report.ids])

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ from .util import mix64, rng_from
 
 _SALT_SHUFFLE = 0x54F1
 
-ABLATION_ARMS = ("full", "no_text", "flip", "baseline_unet")
+ABLATION_ARMS = ("full", "no_text", "baseline_unet")
 
 
 @dataclass
@@ -43,10 +45,6 @@ class TrainConfig:
     ablation: str = "full"
     threshold: float = 0.5
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
     model: ModelConfig = field(default_factory=ModelConfig)
     policy: AugmentPolicy = field(default_factory=AugmentPolicy)
     split: SplitSpec = field(default_factory=SplitSpec)
@@ -85,12 +83,6 @@ class EvalResult:
     mean: float
     sd: float
     scores: list
-
-
-def _effective_policy(cfg: TrainConfig) -> AugmentPolicy:
-    if cfg.ablation == "flip":
-        return replace(cfg.policy, p_hflip=0.5)
-    return cfg.policy
 
 
 def _embed_report(text: str, mc: ModelConfig):
@@ -153,11 +145,6 @@ def evaluate(checkpoint, samples, cfg: TrainConfig,
         raise ValueError("evaluate needs at least one sample")
     thr = cfg.threshold if threshold is None else threshold
     weights = _as_weights(checkpoint, cfg.model, cfg.ablation)
-    for s in samples:
-        if s.image.shape != (cfg.model.image_size, cfg.model.image_size):
-            raise DataFormatError(
-                f"sample is {s.image.shape}, model config expects "
-                f"{cfg.model.image_size}x{cfg.model.image_size}")
     scores = []
     for start in range(0, len(samples), 8):
         chunk = samples[start:start + 8]
@@ -191,11 +178,9 @@ def train(cfg: TrainConfig, dataset, out_dir, fold_seed: int | None = None
                 f"part of {len(dataset)} samples empty")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    policy = _effective_policy(cfg)
     use_attn = cfg.ablation != "baseline_unet"
     weights = init_weights(cfg.model, with_attention=use_attn)
-    opt = dc.AdamWState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                        eps=cfg.eps, weight_decay=cfg.weight_decay)
+    opt = dc.AdamWState(lr=cfg.lr)
 
     val_samples = [dataset[i] for i in va_idx]
     train_losses, val_dices = [], []
@@ -207,7 +192,7 @@ def train(cfg: TrainConfig, dataset, out_dir, fold_seed: int | None = None
         losses = []
         for step_start in range(0, len(order), cfg.batch_size):
             batch_idx = order[step_start:step_start + cfg.batch_size]
-            batch = [augment_sample(dataset[i], policy,
+            batch = [augment_sample(dataset[i], cfg.policy,
                                     mix64(cfg.seed, fold_seed, epoch, int(i)))
                      for i in batch_idx]
             targets = np.stack([s.mask for s in batch]).astype(np.float32)[:, None]
@@ -279,39 +264,66 @@ def cross_validate(cfg: TrainConfig, dataset, out_dir) -> CVResult:
     return result
 
 
+def paper_arms(cfg: TrainConfig) -> dict:
+    """The paper's four ablation arms as {name: TrainConfig}: three model arms
+    under cfg's policy, and `flip`, the `full` model trained with the
+    concordance-breaking horizontal flip at p_hflip 0.5."""
+    return {"full": replace(cfg, ablation="full"),
+            "no_text": replace(cfg, ablation="no_text"),
+            "flip": replace(cfg, ablation="full",
+                            policy=replace(cfg.policy, p_hflip=0.5)),
+            "baseline_unet": replace(cfg, ablation="baseline_unet")}
+
+
 def _run_arm(args):
-    arm_cfg, dataset, arm_dir = args
-    return arm_cfg.ablation, cross_validate(arm_cfg, dataset, arm_dir)
+    name, cfg, dataset, arm_dir = args
+    return name, cross_validate(cfg, dataset, arm_dir)
 
 
-def ablate(cfg: TrainConfig, dataset, out_dir,
-           arms=ABLATION_ARMS, jobs: int = 1) -> dict:
-    """Run the ablation arms under shared fold and init seeds.
+def ablate(arms: dict, dataset, out_dir, jobs: int = 1) -> dict:
+    """Cross-validate each {name: TrainConfig} of `arms` into out_dir/<name>.
 
-    Emits comparison.csv (arm, fold, dice, sd) plus comparison.json with
-    per-arm aggregates and Dice deltas against the full arm.
+    The arms must share `split` and `seed`, so the comparison stays paired;
+    ValueError otherwise. jobs > 1 runs the arms in spawned workers with one
+    BLAS thread each; they import the calling script, so its entry point
+    must sit under `if __name__ == "__main__":`. Emits comparison.csv (arm, fold, dice, sd) plus
+    comparison.json with per-arm aggregates and Dice deltas against the arm
+    named `full` (None without one).
     """
+    first = next(iter(arms.values()))
+    if any((c.split, c.seed) != (first.split, first.seed) for c in arms.values()):
+        raise ValueError("ablate: the arms must share split and seed")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(replace(cfg, ablation=arm), dataset, out_dir / arm) for arm in arms]
+    tasks = [(name, cfg, dataset, out_dir / name) for name, cfg in arms.items()]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(_run_arm, tasks))
+        # A worker loads numpy, and with it OpenBLAS's thread count, from this
+        # environment. Forked workers would keep this process's BLAS threads
+        # and oversubscribe the cores.
+        blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            with ProcessPoolExecutor(jobs, mp_context=get_context("spawn")) as pool:
+                results = dict(pool.map(_run_arm, tasks))
+        finally:
+            if blas_threads is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = blas_threads
     else:
         results = dict(map(_run_arm, tasks))
 
     with open(out_dir / "comparison.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["arm", "fold", "dice", "sd"])
-        for arm in arms:
-            for k, rec in enumerate(results[arm].records):
+        for arm, cv in results.items():
+            for k, rec in enumerate(cv.records):
                 writer.writerow([arm, k, f"{rec.test_dice_mean:.6f}",
                                  f"{rec.test_dice_sd:.6f}"])
 
     summary = {}
     full_mean = results["full"].mean if "full" in results else None
-    for arm in arms:
-        cv = results[arm]
+    for arm, cv in results.items():
         summary[arm] = {
             "mean": cv.mean,
             "sd": cv.sd,
@@ -349,8 +361,8 @@ def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig) -> dict:
     IoU between the two predictions; aggregates flip rate and mean area ratio
     per swap (also as percentages). Each probed sample takes one
     `_forward_batch` call, one image under the distinct reports its arm
-    reads: on `full` and `flip` the original and every swap that changes
-    it; on `no_text` and `baseline_unet`, which read no report, the
+    reads: on `full` the original and every swap that changes it; on
+    `no_text` and `baseline_unet`, which read no report, the
     original alone, whose prediction serves every variant. An empty swap
     source word raises ValueError (see swap_word).
     """

@@ -105,14 +105,12 @@ def dice_counters(a, b):
     return 2.0 * inter / both
 
 
-def cross_attention_direct(q, token_mats, valid_lens, weights, level,
-                           attend_padding=True):
+def cross_attention_direct(q, token_mats, weights, level):
     """The text gate, one item and one pixel at a time, in float64.
 
     q is (n, c, h, w); token_mats holds one (l, d_e) matrix per item; weights
     maps the model's tensor names to arrays, of which the gate reads
-    xattn{level}.{tproj,wq,wk,wv}.{w,b}. A pixel attends over every token, or
-    with attend_padding off over the first max(valid_len, 1) tokens only.
+    xattn{level}.{tproj,wq,wk,wv}.{w,b}. A pixel attends over every token.
     """
     p = {f"{part}_{wb}": weights[f"xattn{level}.{part}.{wb}"]
          for part in ("tproj", "wq", "wk", "wv") for wb in ("w", "b")}
@@ -123,7 +121,7 @@ def cross_attention_direct(q, token_mats, valid_lens, weights, level,
         proj = tokens @ p["tproj_w"] + p["tproj_b"]
         keys = proj @ p["wk_w"] + p["wk_b"]
         values = proj @ p["wv_w"] + p["wv_b"]
-        count = tokens.shape[0] if attend_padding else max(valid_lens[i], 1)
+        count = tokens.shape[0]
         for y in range(h):
             for x in range(w):
                 pixel = q[i, :, y, x].astype(np.float64)

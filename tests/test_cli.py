@@ -15,10 +15,9 @@ from ctxseg.data import (GeneratorConfig, encode_image, generate_dataset,
 from ctxseg.diffcore import save_checkpoint
 from ctxseg.model import ModelConfig, init_weights
 
-SMALL_MODEL = ["model.image_size=32", "model.channels=[4,8]", "model.bottleneck=16",
-               "model.d_e=8", "model.max_tokens=16"]
-SMALL_MC = ModelConfig(image_size=32, channels=[4, 8], bottleneck=16, d_e=8,
-                       max_tokens=16)
+SMALL_MODEL = ["model.channels=[4,8]", "model.bottleneck=16", "model.d_e=8",
+               "model.max_tokens=16"]
+SMALL_MC = ModelConfig(channels=[4, 8], bottleneck=16, d_e=8, max_tokens=16)
 
 
 def _with_small_model(argv):
@@ -96,11 +95,32 @@ def test_ablate_writes_all_four_arms(data_dir, tmp_path):
     with open(out / "comparison.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert [r["arm"] for r in rows] == ["full", "no_text", "flip", "baseline_unet"]
+    # the flip arm is the full model under a flipping policy
+    flip = json.loads((out / "flip" / "fold0" / "runrecord.json").read_text())
+    assert flip["ablation"] == "full" and flip["config"]["policy"]["p_hflip"] == 0.5
+
+
+def test_ablate_on_too_small_a_dataset_exits_1_with_no_echo(data_dir, tmp_path,
+                                                            capsys):
+    out = tmp_path / "ablate"
+    argv = ["ablate", "--data", str(data_dir), "--out", str(out),
+            "--override", "train.epochs=1", "--override", "split.fold_seeds=[1,2,3]"]
+    assert run(_with_small_model(argv)) == 1
+    assert "too small for 3 folds" in _assert_one_error_line(capsys)
+    assert not (out / "invocation.json").exists()
 
 
 @pytest.mark.parametrize("overrides", [
     ["augment.ssr_shift_max=0.4"],
     ["augment.brightness_max=0.3", "augment.p_photometric=1.0"],
+    # keys removed because the code knows or fixes their value
+    ["model.image_size=32"],
+    ["model.attend_padding=false"],
+    ["train.beta1=0.8"],
+    ["train.beta2=0.99"],
+    ["train.eps=1e-6"],
+    ["train.weight_decay=0.0"],
+    ["train.ablation=flip"],
 ])
 def test_augment_bounds_are_not_config_keys(overrides, data_dir, tmp_path, capsys):
     out = tmp_path / "run"
@@ -110,8 +130,13 @@ def test_augment_bounds_are_not_config_keys(overrides, data_dir, tmp_path, capsy
         argv += ["--override", ov]
     assert run(_with_small_model(argv)) == 1
     line = _assert_one_error_line(capsys)
-    assert f"unknown config key {overrides[0].split('=')[0]!r}" in line
-    assert not (out / "checkpoint.ctxn").exists()
+    key, value = overrides[0].split("=")
+    if key == "train.ablation":
+        assert f"ablation must be one of ('full', 'no_text', 'baseline_unet'), " \
+               f"got {value!r}" in line
+    else:
+        assert f"unknown config key {key!r}" in line
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fractions,part", [
@@ -127,6 +152,7 @@ def test_train_with_an_empty_split_part_exits_1(fractions, part, data_dir, tmp_p
     line = _assert_one_error_line(capsys)
     assert f"leave the {part} part of 8 samples empty" in line
     assert not (out / "checkpoint.ctxn").exists()
+    assert not (out / "invocation.json").exists()
 
 
 def test_import_loads_no_scipy():

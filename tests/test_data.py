@@ -168,6 +168,14 @@ class TestDatasetIO:
         with pytest.raises(DataFormatError, match="line 2"):
             read_dataset(tmp_path / "d")
 
+    @pytest.mark.parametrize("kind,maxval", [("images", 65535), ("masks", 255)])
+    def test_size_unlike_the_first_image_names_line(self, tmp_path, kind, maxval):
+        write_dataset(generate_dataset(GeneratorConfig(n=3, image_size=32), 1),
+                      tmp_path / "d")
+        write_pgm(tmp_path / "d" / kind / "000002.pgm", np.zeros((32, 36)), maxval)
+        with pytest.raises(DataFormatError, match=r"manifest line 3: .*\(32, 36\)"):
+            read_dataset(tmp_path / "d")
+
 
 class TestDice:
     def test_identical_nonempty(self):

@@ -647,12 +647,7 @@ def _gate_inputs(rng, n=2, c=3, hw=(2, 3), l=4):
             rng.standard_normal((n, l, c)))
 
 
-def _pad_mask(valid, l):
-    """The additive mask cross_attention builds: tokens past `valid` masked."""
-    return np.where(np.arange(l) < np.asarray(valid)[:, None], 0.0, -1e30)
-
-
-def softmax_gate(q, mask=None):
+def softmax_gate(q):
     """attention_gate over (n, l, h, w) q with c = l channels, an identity
     query projection, keys sqrt(l) I and identity values: the logits are q
     itself, and the gate is tanh of the attention weights."""
@@ -660,13 +655,13 @@ def softmax_gate(q, mask=None):
     eye = np.eye(l)
     return dc.attention_gate(q, DiffTensor(eye), DiffTensor(np.zeros(l)),
                              DiffTensor(np.broadcast_to(np.sqrt(l) * eye, (n, l, l))),
-                             DiffTensor(np.broadcast_to(eye, (n, l, l))), mask)
+                             DiffTensor(np.broadcast_to(eye, (n, l, l))))
 
 
-def token_softmax(logits, mask=None):
+def token_softmax(logits):
     """The attention weights of (n, l, p) logits, read back through arctanh."""
     n, l, p = logits.shape
-    gate = softmax_gate(DiffTensor(logits.reshape(n, l, 1, p)), mask)
+    gate = softmax_gate(DiffTensor(logits.reshape(n, l, 1, p)))
     return np.arctanh(gate.data.reshape(n, l, p).astype(np.float64))
 
 
@@ -679,7 +674,7 @@ class TestRowsoftmax:
     def test_shift_invariance(self, rng):
         x = rng.standard_normal((1, 6, 4)).astype(np.float32)
         a = token_softmax(x)
-        b = token_softmax(x, mask=np.full((1, 6), 7.5))
+        b = token_softmax(x + np.float32(7.5))
         np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_direct_exponentiation(self):
@@ -704,12 +699,10 @@ class TestRowsoftmax:
 
     def test_stack_matches_direct_per_matrix(self, verify64, rng):
         x = rng.standard_normal((3, 6, 4)) * 5
-        valid = [6, 2, 1]
-        got = token_softmax(x, _pad_mask(valid, 6))
-        for i, v in enumerate(valid):
-            np.testing.assert_allclose(got[i, :v], rowsoftmax_direct(x[i, :v].T).T,
+        got = token_softmax(x)
+        for i in range(3):
+            np.testing.assert_allclose(got[i], rowsoftmax_direct(x[i].T).T,
                                        atol=1e-12)
-            assert np.all(got[i, v:] == 0.0)
 
     def test_rejects_vector(self, rng):
         q, wq_w, wq_b, keys, values = (DiffTensor(a) for a in _gate_inputs(rng))
@@ -717,48 +710,37 @@ class TestRowsoftmax:
             dc.attention_gate(q, wq_w, wq_b, DiffTensor(np.zeros(3)), values)
 
 
-def attention_gate_loops(q, wq_w, wq_b, keys, values, mask=None):
+def attention_gate_loops(q, wq_w, wq_b, keys, values):
     """attention_gate one pixel at a time, in float64."""
     n, c, h, w = q.shape
-    l = keys.shape[1]
-    mask = np.zeros((n, l)) if mask is None else mask
     out = np.zeros(q.shape)
     for i in range(n):
         for y in range(h):
             for x in range(w):
                 query = q[i, :, y, x] @ wq_w + wq_b
-                scores = keys[i] @ query / math.sqrt(c) + mask[i]
+                scores = keys[i] @ query / math.sqrt(c)
                 weights = rowsoftmax_direct(scores[None])[0]
                 out[i, :, y, x] = np.tanh(weights @ values[i])
     return out
 
 
 class TestAttentionGate:
-    @pytest.mark.parametrize("valid", [None, [4, 1]], ids=["all-tokens", "masked"])
-    def test_matches_per_pixel_oracle(self, verify64, rng, valid):
+    def test_matches_per_pixel_oracle(self, verify64, rng):
         arrays = _gate_inputs(rng, hw=(3, 5))
-        mask = None if valid is None else _pad_mask(valid, 4)
-        got = dc.attention_gate(*(DiffTensor(a) for a in arrays), mask).data
-        np.testing.assert_allclose(got, attention_gate_loops(*arrays, mask),
+        got = dc.attention_gate(*(DiffTensor(a) for a in arrays)).data
+        np.testing.assert_allclose(got, attention_gate_loops(*arrays),
                                    rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("valid", [None, [4, 2]], ids=["all-tokens", "masked"])
-    def test_gradients(self, verify64, rng, valid):
+    def test_gradients(self, verify64, rng):
         names = ("q", "wq_w", "wq_b", "keys", "values")
         params = {k: DiffTensor(a, requires_grad=True)
                   for k, a in zip(names, _gate_inputs(rng))}
-        mask = None if valid is None else _pad_mask(valid, 4)
         report = finite_diff_check(
-            lambda: proj_loss(dc.attention_gate(*params.values(), mask)), params,
+            lambda: proj_loss(dc.attention_gate(*params.values())), params,
             eps=1e-5, num_coords=200)
         assert {c.param for c in report.checks} == set(names)
         for c in report.checks:
-            if valid is not None and c.param in ("keys", "values") and \
-                    c.index[1] >= valid[c.index[0]]:
-                # a masked token gets weight exactly 0, and no gradient
-                assert c.analytic == 0.0 and abs(c.numeric) < 1e-9, c
-            else:
-                assert c.rel_err < 1e-6, c
+            assert c.rel_err < 1e-6, c
 
     def test_one_node_over_the_gate_inputs(self, rng):
         inputs = [DiffTensor(a, requires_grad=True) for a in _gate_inputs(rng)]
@@ -781,8 +763,6 @@ class TestAttentionGate:
             dc.attention_gate(q, wq_w, wq_b, DiffTensor(keys.data[:, :0]), values)
         with pytest.raises(ShapeError, match="values"):
             dc.attention_gate(q, wq_w, wq_b, keys, DiffTensor(values.data[:, :3]))
-        with pytest.raises(ShapeError, match="mask"):
-            dc.attention_gate(q, wq_w, wq_b, keys, values, np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -879,8 +859,7 @@ CONSTANT_INPUT_OPS = {
     "mean_all": lambda: dc.mean_all(_const(2, 3)),
     "matmul": lambda: dc.matmul(_const(2, 3), _const(3, 4)),
     "attention_gate": lambda: dc.attention_gate(
-        _const(2, 3, 2, 2), _const(3, 3), _const(3), _const(2, 4, 3), _const(2, 4, 3),
-        np.zeros((2, 4))),
+        _const(2, 3, 2, 2), _const(3, 3), _const(3), _const(2, 4, 3), _const(2, 4, 3)),
     "conv2d": lambda: dc.conv2d(_const(1, 2, 4, 4), _const(3, 2, 3, 3), _const(3)),
     "conv_bn_relu": lambda: dc.conv_bn_relu(
         _const(2, 2, 2, 2), _const(3, 2, 3, 3), _const(3), DiffTensor(np.ones(3)),

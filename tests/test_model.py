@@ -9,7 +9,7 @@ from ctxseg.errors import NumericalError, ShapeError
 from ctxseg.model import (ModelConfig, _double_conv, cross_attention,
                           init_weights, predict_mask, text_gated_forward,
                           unet_forward, weight_shapes)
-from ctxseg.textenc import ReportEmbedding, embed, tokenize
+from ctxseg.textenc import embed, tokenize
 
 from gradcheck import finite_diff_check
 from oracles import conv2d_loops, cross_attention_direct
@@ -20,7 +20,7 @@ def param_count(weights: dict) -> int:
 
 
 def tiny_config(**kwargs):
-    base = dict(image_size=16, channels=[4, 8], bottleneck=16,
+    base = dict(channels=[4, 8], bottleneck=16,
                 d_e=8, max_tokens=8, init_seed=1)
     base.update(kwargs)
     return ModelConfig(**base)
@@ -78,9 +78,6 @@ class TestInitWeights:
             ModelConfig(channels=[])
         with pytest.raises(ValueError, match="increasing"):
             ModelConfig(channels=[8, 8], bottleneck=16)
-        with pytest.raises(ValueError, match="divisible"):
-            ModelConfig(image_size=20, channels=[4, 8, 16],
-                        bottleneck=32)
 
 
 class TestEncoderLayer:
@@ -136,7 +133,7 @@ class TestCrossAttention:
         # softmax over one token is [1], so the gate is tanh of the projected
         # value vector, identical for every pixel
         a = {k: t.data for k, t in w.items()}
-        k = emb.matrix.astype(np.float64) @ a["xattn1.tproj.w"] + a["xattn1.tproj.b"]
+        k = emb.astype(np.float64) @ a["xattn1.tproj.w"] + a["xattn1.tproj.b"]
         v = k @ a["xattn1.wv.w"] + a["xattn1.wv.b"]          # (1, c)
         gate = np.tanh(v)[0]                                  # (c,)
         want = q_arr * gate[None, :, None, None]
@@ -145,13 +142,11 @@ class TestCrossAttention:
     def test_token_permutation_invariance(self, rng):
         cfg = tiny_config()
         w = init_weights(cfg)
-        emb = make_emb("small right basal pneumothorax seen on image today", cfg)
-        assert emb.valid_len == cfg.max_tokens   # all rows are real tokens
+        emb = make_emb("small right basal pneumothorax", cfg)   # 4 of 8 are pads
         q = DiffTensor(rng.standard_normal((1, 4, 8, 8)))
         out1 = cross_attention(q, [emb], w, 1).data
         perm = rng.permutation(cfg.max_tokens)
-        emb2 = ReportEmbedding(matrix=emb.matrix[perm], valid_len=emb.valid_len)
-        out2 = cross_attention(q, [emb2], w, 1).data
+        out2 = cross_attention(q, [emb[perm]], w, 1).data
         np.testing.assert_allclose(out1, out2, atol=1e-6)
 
     def test_gating_bound(self, rng):
@@ -160,19 +155,6 @@ class TestCrossAttention:
         q_arr = rng.standard_normal((2, 4, 8, 8)).astype(np.float32)
         out = cross_attention(DiffTensor(q_arr), [make_emb()] * 2, w, 1).data
         assert np.all(np.abs(out) <= np.abs(q_arr) + 1e-7)
-
-    def test_padding_mask_ignores_pad_tokens(self, rng):
-        cfg = tiny_config()
-        w = init_weights(cfg)
-        emb_short = make_emb("left pneumothorax", cfg)     # valid_len 2 of 8
-        q = DiffTensor(rng.standard_normal((1, 4, 8, 8)))
-        masked = cross_attention(q, [emb_short], w, 1, attend_padding=False).data
-        # corrupting the pad rows must not change the masked output
-        corrupted = emb_short.matrix.copy()
-        corrupted[emb_short.valid_len:] = 9.99
-        emb_bad = ReportEmbedding(matrix=corrupted, valid_len=emb_short.valid_len)
-        masked2 = cross_attention(q, [emb_bad], w, 1, attend_padding=False).data
-        np.testing.assert_array_equal(masked, masked2)
 
     def test_non_finite_logits_raise(self, rng):
         w = init_weights(tiny_config())
@@ -193,34 +175,28 @@ class TestCrossAttention:
     # three reports of different lengths: 3 tokens, 7 tokens and none
     BATCH_REPORTS = ("left pneumothorax.", "large right basal pneumothorax is seen.", "")
 
-    @pytest.mark.parametrize("attend_padding", [True, False])
-    def test_batch_matches_per_item_oracle(self, verify64, rng, attend_padding):
+    def test_batch_matches_per_item_oracle(self, verify64, rng):
         cfg = tiny_config()
         w = init_weights(cfg)
         for name, t in w.items():           # nonzero biases too
             if name.startswith("xattn1."):
                 t.data[:] = 0.5 * rng.standard_normal(t.data.shape)
         embs = [make_emb(text, cfg) for text in self.BATCH_REPORTS]
-        assert [e.valid_len for e in embs] == [3, 7, 0]
         q = rng.standard_normal((3, 4, 6, 5))
-        got = cross_attention(DiffTensor(q), embs, w, 1, attend_padding).data
-        want = cross_attention_direct(
-            q, [e.matrix for e in embs], [e.valid_len for e in embs],
-            {k: t.data for k, t in w.items()}, 1, attend_padding)
+        got = cross_attention(DiffTensor(q), embs, w, 1).data
+        want = cross_attention_direct(q, embs, {k: t.data for k, t in w.items()}, 1)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("attend_padding", [True, False])
-    def test_other_items_report_leaves_item_bitwise_unchanged(self, rng,
-                                                              attend_padding):
+    def test_other_items_report_leaves_item_bitwise_unchanged(self, rng):
         cfg = tiny_config()
         w = init_weights(cfg)
         embs = [make_emb(text, cfg) for text in self.BATCH_REPORTS]
         q = DiffTensor(rng.standard_normal((3, 4, 8, 8)))
-        base = cross_attention(q, embs, w, 1, attend_padding).data
+        base = cross_attention(q, embs, w, 1).data
         for j in range(3):
             changed = list(embs)
             changed[j] = make_emb("small left apical pneumothorax.", cfg)
-            got = cross_attention(q, changed, w, 1, attend_padding).data
+            got = cross_attention(q, changed, w, 1).data
             assert not np.array_equal(got[j], base[j])
             for i in set(range(3)) - {j}:
                 np.testing.assert_array_equal(got[i], base[i])
@@ -241,7 +217,7 @@ class TestCrossAttention:
             for key in ("q", "tanh_a", "qstar"):
                 np.testing.assert_array_equal(capture[key][i], one[key][0])
 
-    def test_masked_batch_gradients(self, verify64, rng):
+    def test_batch_gradients(self, verify64, rng):
         cfg = tiny_config()
         embs = [make_emb(text, cfg) for text in self.BATCH_REPORTS[:2]]
         tensors = {name: DiffTensor(0.5 * rng.standard_normal(shape),
@@ -253,8 +229,7 @@ class TestCrossAttention:
         r = DiffTensor(rng.standard_normal((2, 4, 3, 3)))
 
         def loss():
-            out = cross_attention(tensors["q_feat"], embs, tensors, 1,
-                                  attend_padding=False)
+            out = cross_attention(tensors["q_feat"], embs, tensors, 1)
             return dc.sum_all(dc.mul(out, r))
 
         report = finite_diff_check(loss, tensors, eps=1e-5, num_coords=1000)
@@ -303,8 +278,7 @@ class TestForwardPasses:
         emb = make_emb("small right basal pneumothorax seen on image today", cfg)
         out1 = text_gated_forward(img, [emb], w, cfg).data
         perm = rng.permutation(cfg.max_tokens)
-        emb2 = ReportEmbedding(matrix=emb.matrix[perm], valid_len=emb.valid_len)
-        out2 = text_gated_forward(img, [emb2], w, cfg).data
+        out2 = text_gated_forward(img, [emb[perm]], w, cfg).data
         np.testing.assert_allclose(out1, out2, atol=1e-6)
 
     # A contralateral negation and its side-swapped twin hold the same tokens,
@@ -312,10 +286,8 @@ class TestForwardPasses:
     NEGATION_TWINS = ("No left pneumothorax. There is a small right apical pneumothorax.",
                       "No right pneumothorax. There is a small left apical pneumothorax.")
 
-    @pytest.mark.parametrize("attend_padding", [True, False])
-    def test_contralateral_negation_twins_give_the_same_mask(self, rng,
-                                                               attend_padding):
-        cfg = ModelConfig(attend_padding=attend_padding)
+    def test_contralateral_negation_twins_give_the_same_mask(self, rng):
+        cfg = ModelConfig()
         w = init_weights(cfg)
         img = rng.random((1, 1, 64, 64)).astype(np.float32)
         a, b = (text_gated_forward(img, [make_emb(text, cfg)], w, cfg).data
@@ -339,9 +311,22 @@ class TestForwardPasses:
     def test_wrong_image_size_rejected(self, rng):
         cfg = tiny_config()
         w = init_weights(cfg)
-        with pytest.raises(ShapeError, match="expects 16x16"):
-            text_gated_forward(rng.random((1, 1, 32, 32)).astype(np.float32),
-                               [make_emb()], w, cfg)
+        for h, w_ in ((18, 16), (16, 18)):
+            with pytest.raises(ShapeError, match=rf"input is {h}x{w_}; .* "
+                                                 r"divisible by 2\^depth = 4"):
+                text_gated_forward(rng.random((1, 1, h, w_)).astype(np.float32),
+                                   [make_emb()], w, cfg)
+
+    @pytest.mark.parametrize("with_attention", [True, False])
+    def test_same_weights_run_at_every_divisible_size(self, rng, with_attention):
+        cfg = tiny_config()
+        w = init_weights(cfg, with_attention)
+        for size in ((16, 16), (32, 32), (16, 32)):
+            img = rng.random((1, 1, *size)).astype(np.float32)
+            out = (text_gated_forward(img, [make_emb()], w, cfg) if with_attention
+                   else unet_forward(img, w, cfg))
+            assert out.data.shape == (1, 1, *size)
+            assert np.all(np.isfinite(out.data))
 
     def test_batch_embeddings_length_checked(self, rng):
         cfg = tiny_config()
@@ -359,9 +344,8 @@ class TestOneImageUnderKReports:
     REPORTS = ("large left apical pneumothorax.", "large right apical pneumothorax.",
                "", "small left basal pneumothorax.")
 
-    @pytest.mark.parametrize("attend_padding", [True, False])
-    def test_logits_equal_k_single_report_forwards(self, rng, attend_padding):
-        cfg = tiny_config(attend_padding=attend_padding)
+    def test_logits_equal_k_single_report_forwards(self, rng):
+        cfg = tiny_config()
         w = no_grad(init_weights(cfg))
         img = rng.random((1, 1, 16, 16)).astype(np.float32)
         embs = [make_emb(text, cfg) for text in self.REPORTS]

@@ -4,18 +4,17 @@ that image-only models cannot.
 Every sample is ambiguous: a visually identical crescent sits at the mirrored
 position but is left out of the mask, so only the report's side word says which
 crescent is the target. The four ablation arms train on one fold under the same
-settings. The data seed and the margins were fixed before the first run.
+settings, two at a time through `ablate`. The data seed and the margins were
+fixed before the first run.
 
 Departure from the paper: lr is 1e-3, not 5e-5. At 5e-5 the `full` arm reached
 only 0.157 validation Dice after 15 epochs (data seed 11).
 """
 
-from dataclasses import replace
-
 import pytest
 
-from ctxseg.data import GeneratorConfig, generate_dataset, split_indices
-from ctxseg.train import ABLATION_ARMS, TrainConfig, train, word_swap_probe
+from ctxseg.data import GeneratorConfig, SplitSpec, generate_dataset, split_indices
+from ctxseg.train import TrainConfig, ablate, paper_arms, word_swap_probe
 
 DATA_SEED = 2303          # fresh: the generator fix was measured at seed 11
 FOLD_SEED = 101
@@ -28,19 +27,18 @@ MIN_FLIP_RATE = 0.9       # both word-swap directions, on the full arm
 def test_text_resolves_the_mirrored_twin(tmp_path):
     data = generate_dataset(GeneratorConfig(n=256, ambiguous_fraction=1.0),
                             base_seed=DATA_SEED)
-    cfg = TrainConfig(lr=1e-3, epochs=15)
-    dice = {arm: train(replace(cfg, ablation=arm), data, tmp_path / arm,
-                       FOLD_SEED).test_dice_mean
-            for arm in ABLATION_ARMS}
+    cfg = TrainConfig(lr=1e-3, epochs=15, split=SplitSpec(fold_seeds=[FOLD_SEED]))
+    results = ablate(paper_arms(cfg), data, tmp_path, jobs=2)["results"]
+    dice = {arm: cv.records[0].test_dice_mean for arm, cv in results.items()}
     _, _, test_idx = split_indices(len(data), cfg.split.fractions, FOLD_SEED)
-    probe = word_swap_probe(tmp_path / "full" / "checkpoint.ctxn",
+    probe = word_swap_probe(tmp_path / "full" / "fold0" / "checkpoint.ctxn",
                             [data[i] for i in test_idx],
                             [("left", "right"), ("right", "left")], cfg)
     flips = {key: s["flip_rate"] for key, s in probe["swaps"].items()}
     summary = f"test Dice {dice}, full-arm flip rates {flips}"
 
     assert dice["full"] >= MIN_FULL_DICE, summary
-    for arm in set(ABLATION_ARMS) - {"full"}:
+    for arm in set(dice) - {"full"}:
         assert dice["full"] - dice[arm] >= MIN_MARGIN, summary
     for key in ("left->right", "right->left"):
         assert flips[key] >= MIN_FLIP_RATE, summary

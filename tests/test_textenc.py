@@ -46,30 +46,31 @@ class TestEmbed:
     def test_same_token_same_row(self):
         rep = tokenize("left apical left", max_tokens=4)
         emb = embed(rep, d_e=16, seed=3)
-        np.testing.assert_array_equal(emb.matrix[0], emb.matrix[2])
+        np.testing.assert_array_equal(emb[0], emb[2])
 
     def test_bitwise_reproducible(self):
         rep = tokenize("no pleural effusion.", max_tokens=8)
         a = embed(rep, d_e=32, seed=11)
         b = embed(rep, d_e=32, seed=11)
-        assert a.matrix.tobytes() == b.matrix.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_seed_changes_rows(self):
         rep = tokenize("pneumothorax", max_tokens=2)
         a = embed(rep, d_e=32, seed=1)
         b = embed(rep, d_e=32, seed=2)
-        assert not np.array_equal(a.matrix, b.matrix)
+        assert not np.array_equal(a, b)
 
     def test_rows_unit_norm(self):
         rep = tokenize("there is a small right basal pneumothorax.", max_tokens=16)
         emb = embed(rep, d_e=24, seed=0)
-        np.testing.assert_allclose(np.linalg.norm(emb.matrix, axis=1), 1.0,
+        assert emb.shape == (16, 24) and emb.dtype == np.float32
+        np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0,
                                    atol=1e-6)
 
     def test_padding_rows_identical(self):
         emb = embed(tokenize("one", max_tokens=6), d_e=8, seed=5)
-        for row in emb.matrix[2:]:
-            np.testing.assert_array_equal(row, emb.matrix[1])
+        for row in emb[2:]:
+            np.testing.assert_array_equal(row, emb[1])
 
     def test_collision_rate_small_vocabulary(self):
         # per-pair collision probability below 1e-4 for a 1000-word vocabulary

@@ -2,26 +2,27 @@
 
 import json
 import statistics
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ctxseg.augment import AugmentPolicy
 from ctxseg.data import (GeneratorConfig, SplitSpec, centroid_side, dice,
                          generate_dataset)
 from ctxseg.diffcore import load_checkpoint, save_checkpoint
 from ctxseg.errors import DataFormatError, ShapeError
 from ctxseg.model import ModelConfig, init_weights, predict_mask
-from ctxseg.train import (TrainConfig, _as_weights, _forward_batch, ablate,
-                          attention_dump, cross_validate, evaluate, swap_word,
-                          train, word_swap_probe)
+from ctxseg.train import (ABLATION_ARMS, TrainConfig, _as_weights, _forward_batch,
+                          ablate, attention_dump, cross_validate, evaluate,
+                          paper_arms, swap_word, train, word_swap_probe)
 
 
 def tiny_train_config(**kwargs):
     base = dict(
         lr=1e-3, epochs=2, batch_size=4, seed=5,
-        model=ModelConfig(image_size=32, channels=[4, 8],
+        model=ModelConfig(channels=[4, 8],
                           bottleneck=16, d_e=8, max_tokens=16, init_seed=3),
         split=SplitSpec(fractions=(0.7, 0.15, 0.15), fold_seeds=[11, 12]),
     )
@@ -77,15 +78,21 @@ class TestTrain:
         res = [evaluate(rec.checkpoint, [v], cfg) for v in variants]
         assert res[0].scores == res[1].scores
 
-    def test_flip_arm_flips_half_the_time(self, tiny_dataset):
-        from ctxseg.train import _effective_policy
-        cfg = tiny_train_config(ablation="flip")
-        assert _effective_policy(cfg).p_hflip == 0.5
-        assert _effective_policy(tiny_train_config()).p_hflip == 0.0
+    def test_flip_arm_flips_half_the_time(self):
+        # the flip arm is a policy variant of full; the model arms keep the
+        # policy they were given, a user-set p_hflip included
+        cfg = tiny_train_config(policy=AugmentPolicy(p_hflip=0.25))
+        arms = paper_arms(cfg)
+        assert list(arms) == ["full", "no_text", "flip", "baseline_unet"]
+        assert arms["flip"] == replace(cfg, policy=replace(cfg.policy, p_hflip=0.5))
+        for arm in ABLATION_ARMS:
+            assert arms[arm] == replace(cfg, ablation=arm)
+        assert arms["full"].policy.p_hflip == 0.25
 
     def test_invalid_ablation_rejected(self):
-        with pytest.raises(ValueError, match="ablation"):
-            tiny_train_config(ablation="nonsense")
+        for ablation in ("nonsense", "flip"):
+            with pytest.raises(ValueError, match="ablation"):
+                tiny_train_config(ablation=ablation)
 
 
 class TestEvaluate:
@@ -108,12 +115,12 @@ class TestEvaluate:
         r2 = evaluate(rec.checkpoint, tiny_dataset[:4], cfg)
         assert r1.scores == r2.scores
 
-    def test_size_mismatch_rejected(self, tiny_dataset, tmp_path):
-        cfg = tiny_train_config(epochs=1)
-        rec = train(cfg, tiny_dataset, tmp_path)
-        wrong = generate_dataset(GeneratorConfig(n=1, image_size=64), 0)
-        with pytest.raises(DataFormatError, match="32x32"):
-            evaluate(rec.checkpoint, wrong, cfg)
+    def test_size_mismatch_rejected(self):
+        # the model runs at any size divisible by 2^depth = 4, so not at 34 px
+        cfg = tiny_train_config()
+        odd = generate_dataset(GeneratorConfig(n=1, image_size=34), 0)
+        with pytest.raises(ShapeError, match="input is 34x34"):
+            evaluate(init_weights(cfg.model), odd, cfg)
 
     def test_checkpoint_shape_mismatch_rejected(self, tiny_dataset, tmp_path):
         # same tensor names, wider second level: the first tensor that differs
@@ -148,16 +155,13 @@ class TestAsWeights:
             assert t.requires_grad == requires_grad and t.grad is grad
 
 
-ARMS_BY_TEXT_PATH = ("full", "no_text", "baseline_unet")
-
-
 class TestForwardBatchKReports:
     REPORTS = ["large left apical pneumothorax.", "large right apical pneumothorax.",
                "small left basal pneumothorax."]
     # baseline_unet reads no report, so it takes one per image and nothing else
     BASELINE_COUNT = "one report per image"
 
-    @pytest.mark.parametrize("arm", ARMS_BY_TEXT_PATH)
+    @pytest.mark.parametrize("arm", ABLATION_ARMS)
     def test_logits_equal_k_single_report_forwards(self, tiny_dataset, arm):
         cfg = tiny_train_config(ablation=arm)
         w = _as_weights(init_weights(cfg.model, arm != "baseline_unet"),
@@ -173,7 +177,7 @@ class TestForwardBatchKReports:
             want = _forward_batch(w, [image], [report], cfg, train=False).data
             np.testing.assert_array_equal(got[i], want[0])
 
-    @pytest.mark.parametrize("arm", ARMS_BY_TEXT_PATH)
+    @pytest.mark.parametrize("arm", ABLATION_ARMS)
     def test_live_weights_raise(self, tiny_dataset, arm):
         cfg = tiny_train_config(ablation=arm)
         live = init_weights(cfg.model, arm != "baseline_unet")
@@ -183,7 +187,7 @@ class TestForwardBatchKReports:
             _forward_batch(live, [tiny_dataset[0].image], self.REPORTS, cfg,
                            train=False)
 
-    @pytest.mark.parametrize("arm", ARMS_BY_TEXT_PATH)
+    @pytest.mark.parametrize("arm", ABLATION_ARMS)
     def test_other_count_mismatch_raises(self, tiny_dataset, arm):
         cfg = tiny_train_config(ablation=arm)
         w = _as_weights(init_weights(cfg.model, arm != "baseline_unet"),
@@ -210,32 +214,67 @@ class TestCrossValidate:
 class TestAblate:
     def test_four_arms_shared_folds(self, tiny_dataset, tmp_path):
         cfg = tiny_train_config(epochs=1)
-        out = ablate(cfg, tiny_dataset, tmp_path)
-        assert set(out["summary"]) == {"full", "no_text", "flip",
-                                       "baseline_unet"}
+        arms = paper_arms(cfg)
+        out = ablate(arms, tiny_dataset, tmp_path)
+        assert list(out["summary"]) == list(arms)
         folds = {arm: [r.fold_seed for r in cv.records]
                  for arm, cv in out["results"].items()}
         assert len({tuple(v) for v in folds.values()}) == 1
-        # config echo shows arms differ only in the ablation tag
+        # each arm's records echo the config it was given
         for arm, cv in out["results"].items():
-            echo = dict(cv.records[0].config)
-            assert echo.pop("ablation") == arm
-            ref = dict(out["results"]["full"].records[0].config)
-            ref.pop("ablation")
-            assert echo == ref
+            assert cv.records[0].config == asdict(arms[arm])
 
     def test_csv_rows(self, tiny_dataset, tmp_path):
         cfg = tiny_train_config(epochs=1)
-        ablate(cfg, tiny_dataset, tmp_path)
+        ablate(paper_arms(cfg), tiny_dataset, tmp_path)
         lines = (tmp_path / "comparison.csv").read_text().strip().splitlines()
         assert lines[0] == "arm,fold,dice,sd"
         assert len(lines) == 1 + 4 * len(cfg.split.fold_seeds)
 
     def test_delta_vs_full_written(self, tiny_dataset, tmp_path):
         cfg = tiny_train_config(epochs=1)
-        ablate(cfg, tiny_dataset, tmp_path)
+        ablate(paper_arms(cfg), tiny_dataset, tmp_path)
         summary = json.loads((tmp_path / "comparison.json").read_text())
         assert summary["full"]["delta_vs_full"] == 0.0
+
+    def test_named_configs_without_full_have_no_delta(self, tiny_dataset, tmp_path):
+        cfg = tiny_train_config(epochs=1, split=SplitSpec(fold_seeds=[11]))
+        arms = {"none": replace(cfg, policy=AugmentPolicy(p_photometric=0.0, p_distort=0.0,
+                                                p_ssr=0.0)),
+                "safe": cfg}
+        out = ablate(arms, tiny_dataset, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "comparison.csv", "comparison.json", "none", "safe"]
+        summary = json.loads((tmp_path / "comparison.json").read_text())
+        assert summary == out["summary"]
+        assert [row["delta_vs_full"] for row in summary.values()] == [None, None]
+
+    @pytest.mark.parametrize("change", [
+        {"split": SplitSpec(fold_seeds=[13])},
+        {"split": SplitSpec(fractions=(0.5, 0.25, 0.25))},
+        {"seed": 6},
+    ], ids=["fold_seeds", "fractions", "seed"])
+    def test_unpaired_arms_raise(self, tiny_dataset, tmp_path, change):
+        cfg = tiny_train_config(epochs=1)
+        with pytest.raises(ValueError, match="share split and seed"):
+            ablate({"full": cfg, "other": replace(cfg, **change)}, tiny_dataset,
+                   tmp_path)
+        assert not tmp_path.joinpath("full").exists()
+
+    def test_two_jobs_write_what_one_job_writes(self, tiny_dataset, tmp_path):
+        arms = paper_arms(tiny_train_config(epochs=1))
+        ablate(arms, tiny_dataset, tmp_path / "one")
+        ablate(arms, tiny_dataset, tmp_path / "two", jobs=2)
+        files = sorted(p.relative_to(tmp_path / "one")
+                       for p in (tmp_path / "one").rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(tmp_path / "two")
+                               for p in (tmp_path / "two").rglob("*") if p.is_file())
+        assert len(files) == 2 + 4 * (1 + 2 * 2)   # cv.json, 2 folds of 2 files
+        for rel in files:
+            # a run record names its own checkpoint path
+            one, two = ((tmp_path / d / rel).read_bytes().replace(bytes(tmp_path / d), b"")
+                        for d in ("one", "two"))
+            assert one == two, rel
 
 
 class TestWordSwapProbe:
@@ -304,7 +343,7 @@ class TestWordSwapProbe:
                 })
         return entries
 
-    @pytest.mark.parametrize("arm", ARMS_BY_TEXT_PATH)
+    @pytest.mark.parametrize("arm", ABLATION_ARMS)
     def test_entries_match_separate_forwards(self, tiny_dataset, tmp_path, arm):
         cfg = tiny_train_config(epochs=1, ablation=arm)
         rec = train(cfg, tiny_dataset, tmp_path)
@@ -313,7 +352,7 @@ class TestWordSwapProbe:
         want = self.reference_entries(weights, tiny_dataset, self.SWAPS, cfg)
         assert {k: v["entries"] for k, v in rep["swaps"].items()} == want
 
-    @pytest.mark.parametrize("arm", ARMS_BY_TEXT_PATH)
+    @pytest.mark.parametrize("arm", ABLATION_ARMS)
     def test_two_swaps_run_the_encoder_once(self, tiny_dataset, maxpool2_batches,
                                             arm):
         cfg = tiny_train_config(ablation=arm)
