@@ -4,12 +4,20 @@ Everything operates on DiffTensor and returns DiffTensor. The two
 convolutions share one core, `_conv`: it flattens the padded NCHW input to
 (N, C, Hp*Wp), where each kernel tap (di, dj) reads the same contiguous run
 shifted by di*Wp + dj, so forward and backward are one BLAS matmul per tap
-and the gradient keeps the padded input, not a column matrix. `conv2d` is
-that conv alone. `conv_bn_relu` is conv -> batch norm -> ReLU as one graph
-node, whose backward hands its gradient straight to the conv's.
-`attention_gate` is the pixel side of the text gate as one node, computed
-channel-major, (N, C, H*W) queries against (N, L, H*W) logits, so nothing
-is transposed and its softmax reduces across token rows.
+and the gradient keeps the padded input, not a column matrix. The first
+tap's matmul writes straight into the output and the other taps go through
+one reused scratch buffer. `conv2d` is that conv alone. `conv_bn_relu` is conv ->
+batch norm -> ReLU as one graph node: batch norm normalizes the conv's
+output in place, and the backward works in place on one masked copy of the
+output gradient, which it hands straight to the conv's. `attention_gate` is
+the pixel side of the text gate as one node, computed channel-major,
+(N, C, H*W) queries against (N, L, H*W) logits, so nothing is transposed
+and its softmax reduces across token rows.
+
+The in-place paths do the same arithmetic in the same order as allocating a
+fresh array for every intermediate, so their results are bitwise those of
+that simpler form, kept in tests/oracles.py as the reference. No backward
+writes into its output's gradient or into an array an input still holds.
 """
 
 from __future__ import annotations
@@ -137,22 +145,27 @@ def attention_gate(q: DiffTensor, wq_w: DiffTensor, wq_b: DiffTensor,
         raise ShapeError(f"attention_gate: values {values.data.shape} != keys {sk}")
     inv_sqrt_c = 1.0 / math.sqrt(c)
     qf = q.data.reshape(n, c, h * w)
-    qp = wq_w.data.T @ qf + wq_b.data[:, None]            # (n, c, h*w)
+    qp = wq_w.data.T @ qf                                  # (n, c, h*w)
+    qp += wq_b.data[:, None]
     a = keys.data @ qp                                     # (n, l, h*w)
     a *= inv_sqrt_c
-    if not np.all(np.isfinite(a)):
+    top = a.max(axis=1, keepdims=True)
+    # max and min both propagate NaN, so these two see every non-finite logit
+    if not (np.isfinite(top).all() and np.isfinite(a.min())):
         raise NumericalError("non-finite values in cross-attention logits")
-    a -= a.max(axis=1, keepdims=True)
+    a -= top
     np.exp(a, out=a)
     a /= a.sum(axis=1, keepdims=True)                      # attention weights
     gate = np.tanh(values.data.transpose(0, 2, 1) @ a)     # (n, c, h*w)
 
     def back():
-        gm = out.grad.reshape(n, c, h * w) * (1.0 - gate * gate)
+        gm = gate * gate
+        np.subtract(1.0, gm, out=gm)
+        gm *= out.grad.reshape(n, c, h * w)
         if values.requires_grad:
             values.accum_grad(a @ gm.transpose(0, 2, 1))
-        ga = values.data @ gm                              # (n, l, h*w)
-        gs = ga - (ga * a).sum(axis=1, keepdims=True)
+        gs = values.data @ gm                              # (n, l, h*w)
+        gs -= (gs * a).sum(axis=1, keepdims=True)
         gs *= a
         gs *= inv_sqrt_c                                   # d(loss)/d(K qp)
         if keys.requires_grad:
@@ -171,11 +184,14 @@ def attention_gate(q: DiffTensor, wq_w: DiffTensor, wq_b: DiffTensor,
 # ---------------------------------------------------------------------------
 # convolution / pooling
 
-def _tap_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, broadcast over b's batch axis. numpy's matmul bypasses BLAS
+def _tap_gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b, broadcast over b's batch axis. numpy's matmul bypasses BLAS
     when the inner dimension is 1 (the one-channel stem, the one-channel
     head's input gradient), and broadcasting is several times faster there."""
-    return a * b if a.shape[-1] == 1 else a @ b
+    if a.shape[-1] == 1:
+        np.multiply(a, b, out=out)
+    else:
+        np.matmul(a, b, out=out)
 
 
 def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str,
@@ -188,9 +204,11 @@ def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str,
     and bias for output gradient g, and is None when none of them needs one.
     Runs one GEMM per kernel tap on the padded input flattened to (N, Cin,
     Hp*Wp): output position p on the padded-width grid reads tap (di, dj) at
-    flat index p + di*Wp + dj, so each tap is a contiguous slice. `back`
-    holds the padded input and the tap-major kernel, nothing the size of a
-    column matrix. `op` names the caller in errors.
+    flat index p + di*Wp + dj, so each tap is a contiguous slice. The first
+    tap's GEMM writes the output itself and every later tap goes through one
+    scratch buffer, the same sums in the same order as adding each tap to a
+    zeroed output. `back` holds the padded input and the tap-major kernel,
+    nothing the size of a column matrix. `op` names the caller in errors.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"{op} input must be NCHW, got {x.data.shape}")
@@ -224,9 +242,14 @@ def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str,
     span = h * wp - (k - 1)
     taps = [(di, dj, di * wp + dj) for di in range(k) for dj in range(k)]
     wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))   # (k, k, cout, cin)
-    yd = np.zeros((n, cout, h * wp), dtype=xp.dtype)
-    for di, dj, off in taps:
-        yd[:, :, :span] += _tap_gemm(wt[di, dj], xf[:, :, off:off + span])
+    yd = np.empty((n, cout, h * wp), dtype=xp.dtype)
+    ys = yd[:, :, :span]
+    _tap_gemm(wt[0, 0], xf[:, :, :span], ys)
+    if k > 1:
+        scratch = np.empty((n, cout, span), dtype=xp.dtype)
+        for di, dj, off in taps[1:]:
+            _tap_gemm(wt[di, dj], xf[:, :, off:off + span], scratch)
+            ys += scratch
     y = yd.reshape(n, cout, h, wp)[:, :, :, :w] + bias.data[None, :, None, None]
     input_grad = x.requires_grad or (skip is not None and skip.requires_grad)
     if not (input_grad or weight.requires_grad or bias.requires_grad):
@@ -234,22 +257,28 @@ def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str,
 
     def back(g):
         bias.accum_grad(g.sum(axis=(0, 2, 3)))
-        gd = np.zeros((n, cout, h * wp), dtype=xp.dtype)
-        gd.reshape(n, cout, h, wp)[:, :, :, :w] = g
-        ga = gd[:, :, :span]
+        gd = np.zeros((n, cout, h, wp), dtype=xp.dtype)
+        gd[:, :, :, :w] = g
+        ga = gd.reshape(n, cout, h * wp)[:, :, :span]
         gw = np.empty_like(wt)
-        gxf = np.zeros_like(xf) if input_grad else None
+        gw_items = np.empty((n, cout, cin), dtype=xp.dtype)
         for di, dj, off in taps:
-            xs = xf[:, :, off:off + span]
-            gw[di, dj] = (ga @ xs.transpose(0, 2, 1)).sum(axis=0)
-            if gxf is not None:
-                gxf[:, :, off:off + span] += _tap_gemm(wt[di, dj].T, ga)
+            np.matmul(ga, xf[:, :, off:off + span].transpose(0, 2, 1), out=gw_items)
+            gw_items.sum(axis=0, out=gw[di, dj])
         weight.accum_grad(gw.transpose(2, 3, 0, 1))
-        if gxf is not None:
-            gx = gxf.reshape(n, cin, hp, wp)[:, :, pad:pad + h, pad:pad + w]
-            x.accum_grad(gx[:, :cx])
-            if skip is not None:
-                skip.accum_grad(gx[:, cx:])
+        if not input_grad:
+            return
+        gxf = np.zeros_like(xf)
+        _tap_gemm(wt[0, 0].T, ga, gxf[:, :, :span])
+        if k > 1:
+            scratch = np.empty((n, cin, span), dtype=xp.dtype)
+            for di, dj, off in taps[1:]:
+                _tap_gemm(wt[di, dj].T, ga, scratch)
+                gxf[:, :, off:off + span] += scratch
+        gx = gxf.reshape(n, cin, hp, wp)[:, :, pad:pad + h, pad:pad + w]
+        x.accum_grad(gx[:, :cx])
+        if skip is not None:
+            skip.accum_grad(gx[:, cx:])
 
     return y, back
 
@@ -293,46 +322,50 @@ def conv_bn_relu(x: DiffTensor, weight: DiffTensor, bias: DiffTensor,
         if t.data.shape != (c,):
             raise ShapeError(f"conv_bn_relu: {name} shape {t.data.shape} != ({c},)")
 
+    m = n * h * w
+    xhat = z                          # normalized in place: z is not read again
     if train:
-        if n * h * w < 2:
+        if m < 2:
             raise ShapeError(
                 "conv_bn_relu train mode needs at least 2 values per channel "
-                f"(got batch*H*W = {n * h * w})")
+                f"(got batch*H*W = {m})")
         mean = z.mean(axis=(0, 2, 3))
-        var = z.var(axis=(0, 2, 3))
+        xhat -= mean[None, :, None, None]
+        # numpy's var, bit for bit: the squared deviations from the mean
+        # summed and divided by the count; y serves as their scratch
+        y = np.multiply(xhat, xhat)
+        var = y.sum(axis=(0, 2, 3)) / m
         running_mean.data[:] = ((1.0 - _BN_MOMENTUM) * running_mean.data
                                 + _BN_MOMENTUM * mean)
         running_var.data[:] = ((1.0 - _BN_MOMENTUM) * running_var.data
                                + _BN_MOMENTUM * var)
     else:
-        mean = running_mean.data
-        var = running_var.data
+        mean, var = running_mean.data, running_var.data
+        xhat -= mean[None, :, None, None]
+        y = np.empty_like(xhat)
 
     inv = (1.0 / np.sqrt(var + _BN_EPS))[None, :, None, None]
-    xhat = z                          # normalized in place: z is not read again
-    xhat -= mean[None, :, None, None]
     xhat *= inv
-    y = gamma.data[None, :, None, None] * xhat
+    np.multiply(gamma.data[None, :, None, None], xhat, out=y)
     y += beta.data[None, :, None, None]
     np.maximum(y, 0, out=y)
 
     def back():
+        # out.grad stays as handed in; everything below works on go
         go = out.grad * (out.data > 0)
-        sum_gx = (go * xhat).sum(axis=(0, 2, 3))
+        prod = go * xhat
+        sum_gx = prod.sum(axis=(0, 2, 3))
         sum_g = go.sum(axis=(0, 2, 3))
         gamma.accum_grad(sum_gx)
         beta.accum_grad(sum_g)
         if conv_back is None:
             return
-        gi = gamma.data[None, :, None, None] * inv
         if train:
             # numpy's mean is this sum over the count, bitwise
-            m = n * h * w
-            mg = (sum_g / m)[None, :, None, None]
-            mgx = (sum_gx / m)[None, :, None, None]
-            conv_back(gi * (go - mg - xhat * mgx))
-        else:
-            conv_back(gi * go)
+            go -= (sum_g / m)[None, :, None, None]
+            go -= np.multiply(xhat, (sum_gx / m)[None, :, None, None], out=prod)
+        go *= gamma.data[None, :, None, None] * inv
+        conv_back(go)
 
     inputs = (x,) if skip is None else (x, skip)
     out = DiffTensor._node(y, (*inputs, weight, bias, gamma, beta), back)

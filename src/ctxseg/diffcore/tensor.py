@@ -62,8 +62,11 @@ class DiffTensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy of the first gradient, never a view of the caller's array
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None

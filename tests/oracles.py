@@ -1,10 +1,19 @@
 """Independent naive-loop reference implementations used as test oracles.
 
 Everything here is deliberately written as plain quadruple loops or direct
-formula transcriptions, sharing no code with the package under test.
+formula transcriptions, sharing no code with the package under test, except
+the `*_reference` ops at the end: vectorized versions of `conv2d`,
+`conv_bn_relu`, `attention_gate` and `adamw_step` that allocate a fresh array
+for every intermediate. The package computes the same arithmetic in place,
+and tests require its results to equal these bit for bit.
 """
 
+import math
+
 import numpy as np
+
+from ctxseg.diffcore import DiffTensor
+from ctxseg.errors import NumericalError, ShapeError
 
 
 def conv2d_loops(x, w, b, stride=1, padding=0):
@@ -190,3 +199,177 @@ def nearest_loops(img, cy, cx):
         if 0.0 <= y <= h - 1 and 0.0 <= x <= w - 1:
             out[idx] = img[int(np.floor(y + 0.5)), int(np.floor(x + 0.5))]
     return out
+
+
+# ---------------------------------------------------------------------------
+# vectorized references: one fresh array per intermediate
+
+def _tap_gemm_reference(a, b):
+    return a * b if a.shape[-1] == 1 else a @ b
+
+
+def _conv_reference(x, weight, bias, skip=None):
+    """Stride-1 "same" conv of NCHW x (and skip, as channels after x's) with
+    an odd OIHW kernel, one GEMM per tap added into a zeroed output.
+    Returns (y, back) as `ctxseg.diffcore.ops._conv` does."""
+    n, cx, h, w = x.data.shape
+    cin = cx if skip is None else cx + skip.data.shape[1]
+    cout, _, k, _ = weight.data.shape
+    pad = k // 2
+    hp, wp = h + 2 * pad, w + 2 * pad
+    if pad or skip is not None:
+        xp = np.zeros((n, cin, hp, wp), dtype=x.data.dtype)
+        xp[:, :cx, pad:pad + h, pad:pad + w] = x.data
+        if skip is not None:
+            xp[:, cx:, pad:pad + h, pad:pad + w] = skip.data
+    else:
+        xp = x.data
+    xf = xp.reshape(n, cin, hp * wp)
+    span = h * wp - (k - 1)
+    taps = [(di, dj, di * wp + dj) for di in range(k) for dj in range(k)]
+    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))
+    yd = np.zeros((n, cout, h * wp), dtype=xp.dtype)
+    for di, dj, off in taps:
+        yd[:, :, :span] += _tap_gemm_reference(wt[di, dj], xf[:, :, off:off + span])
+    y = yd.reshape(n, cout, h, wp)[:, :, :, :w] + bias.data[None, :, None, None]
+    input_grad = x.requires_grad or (skip is not None and skip.requires_grad)
+    if not (input_grad or weight.requires_grad or bias.requires_grad):
+        return y, None
+
+    def back(g):
+        bias.accum_grad(g.sum(axis=(0, 2, 3)))
+        gd = np.zeros((n, cout, h * wp), dtype=xp.dtype)
+        gd.reshape(n, cout, h, wp)[:, :, :, :w] = g
+        ga = gd[:, :, :span]
+        gw = np.empty_like(wt)
+        gxf = np.zeros_like(xf) if input_grad else None
+        for di, dj, off in taps:
+            xs = xf[:, :, off:off + span]
+            gw[di, dj] = (ga @ xs.transpose(0, 2, 1)).sum(axis=0)
+            if gxf is not None:
+                gxf[:, :, off:off + span] += _tap_gemm_reference(wt[di, dj].T, ga)
+        weight.accum_grad(gw.transpose(2, 3, 0, 1))
+        if gxf is not None:
+            gx = gxf.reshape(n, cin, hp, wp)[:, :, pad:pad + h, pad:pad + w]
+            x.accum_grad(gx[:, :cx])
+            if skip is not None:
+                skip.accum_grad(gx[:, cx:])
+
+    return y, back
+
+
+def conv2d_reference(x, weight, bias):
+    y, back = _conv_reference(x, weight, bias)
+    out = DiffTensor._node(y, (x, weight, bias), lambda: back(out.grad))
+    return out
+
+
+def conv_bn_relu_reference(x, weight, bias, gamma, beta, running_mean,
+                           running_var, train, skip=None):
+    """relu(batchnorm(conv(x))) with numpy's mean and var for the batch
+    statistics, momentum 0.1 and eps 1e-5."""
+    z, conv_back = _conv_reference(x, weight, bias, skip)
+    n, c, h, w = z.shape
+    if train:
+        mean = z.mean(axis=(0, 2, 3))
+        var = z.var(axis=(0, 2, 3))
+        running_mean.data[:] = 0.9 * running_mean.data + 0.1 * mean
+        running_var.data[:] = 0.9 * running_var.data + 0.1 * var
+    else:
+        mean = running_mean.data
+        var = running_var.data
+    inv = (1.0 / np.sqrt(var + 1e-5))[None, :, None, None]
+    xhat = z
+    xhat -= mean[None, :, None, None]
+    xhat *= inv
+    y = gamma.data[None, :, None, None] * xhat
+    y += beta.data[None, :, None, None]
+    np.maximum(y, 0, out=y)
+
+    def back():
+        go = out.grad * (out.data > 0)
+        sum_gx = (go * xhat).sum(axis=(0, 2, 3))
+        sum_g = go.sum(axis=(0, 2, 3))
+        gamma.accum_grad(sum_gx)
+        beta.accum_grad(sum_g)
+        if conv_back is None:
+            return
+        gi = gamma.data[None, :, None, None] * inv
+        if train:
+            m = n * h * w
+            mg = (sum_g / m)[None, :, None, None]
+            mgx = (sum_gx / m)[None, :, None, None]
+            conv_back(gi * (go - mg - xhat * mgx))
+        else:
+            conv_back(gi * go)
+
+    inputs = (x,) if skip is None else (x, skip)
+    out = DiffTensor._node(y, (*inputs, weight, bias, gamma, beta), back)
+    return out
+
+
+def attention_gate_reference(q, wq_w, wq_b, keys, values):
+    """tanh(V^T softmax_l(K (Wq^T q + bq) / sqrt(c))), channel-major."""
+    n, c, h, w = q.data.shape
+    inv_sqrt_c = 1.0 / math.sqrt(c)
+    qf = q.data.reshape(n, c, h * w)
+    qp = wq_w.data.T @ qf + wq_b.data[:, None]
+    a = keys.data @ qp
+    a *= inv_sqrt_c
+    if not np.all(np.isfinite(a)):
+        raise NumericalError("non-finite values in cross-attention logits")
+    a -= a.max(axis=1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=1, keepdims=True)
+    gate = np.tanh(values.data.transpose(0, 2, 1) @ a)
+
+    def back():
+        gm = out.grad.reshape(n, c, h * w) * (1.0 - gate * gate)
+        if values.requires_grad:
+            values.accum_grad(a @ gm.transpose(0, 2, 1))
+        ga = values.data @ gm
+        gs = ga - (ga * a).sum(axis=1, keepdims=True)
+        gs *= a
+        gs *= inv_sqrt_c
+        if keys.requires_grad:
+            keys.accum_grad(gs @ qp.transpose(0, 2, 1))
+        gqp = keys.data.transpose(0, 2, 1) @ gs
+        wq_b.accum_grad(gqp.sum(axis=(0, 2)))
+        wq_w.accum_grad((qf @ gqp.transpose(0, 2, 1)).sum(axis=0))
+        if q.requires_grad:
+            q.accum_grad((wq_w.data @ gqp).reshape(n, c, h, w))
+
+    out = DiffTensor._node(gate.reshape(n, c, h, w), (q, wq_w, wq_b, keys, values),
+                           back)
+    return out
+
+
+def adamw_step_reference(params, state):
+    """AdamW one parameter at a time, with the moments in `state.m` and
+    `state.v` as one array per name."""
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    for name, p in params.items():
+        if not p.requires_grad:
+            continue
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if not np.all(np.isfinite(g)):
+            raise NumericalError(f"NaN/Inf gradient for parameter {name!r}")
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        v = state.v[name]
+        if m.shape != p.data.shape:
+            raise ShapeError(f"AdamW state for {name!r} has shape {m.shape}, "
+                             f"parameter has {p.data.shape}")
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        if state.weight_decay:
+            update = update + state.weight_decay * p.data
+        p.data -= state.lr * update

@@ -12,8 +12,10 @@ from ctxseg.diffcore.ops import _conv
 from ctxseg.errors import GraphError, NumericalError, ShapeError
 
 from gradcheck import finite_diff_check
-from oracles import (batchnorm_train_direct, conv2d_loops, matmul_loops,
-                     maxpool2_loops, rowsoftmax_direct, upconv2_loops)
+from oracles import (attention_gate_reference, batchnorm_train_direct,
+                     conv2d_loops, conv2d_reference, conv_bn_relu_reference,
+                     matmul_loops, maxpool2_loops, rowsoftmax_direct,
+                     upconv2_loops)
 
 
 def proj_loss(out, seed=0):
@@ -517,6 +519,117 @@ class TestConvBnReluSkip:
 
 
 # ---------------------------------------------------------------------------
+# the in-place ops, bit for bit against the allocating references in oracles
+
+def _forward_backward(op, arrays, frozen=()):
+    """op over float32 tensors of `arrays` (a name -> array dict, in the op's
+    argument order; names in `frozen` need no gradient), then backward
+    through proj_loss. Returns the output and every tensor's gradient."""
+    ts = {k: DiffTensor(a, requires_grad=k not in frozen) for k, a in arrays.items()}
+    out = op(*ts.values())
+    backward(proj_loss(out))
+    return out, {k: t.grad for k, t in ts.items()}
+
+
+def _assert_bitwise(got, want):
+    (out, grads), (out_ref, grads_ref) = got, want
+    assert out.data.dtype == out_ref.data.dtype == np.float32
+    np.testing.assert_array_equal(out.data, out_ref.data)
+    for k in grads_ref:
+        if grads_ref[k] is None:
+            assert grads[k] is None, k
+        else:
+            assert grads[k].dtype == grads_ref[k].dtype, k
+            np.testing.assert_array_equal(grads[k], grads_ref[k], err_msg=k)
+
+
+# (x channels, skip channels, whether x learns): the one-channel stem reads
+# the image, which needs no gradient; a decoder sublayer also reads a skip
+SUBLAYERS = {"stem": (1, 0, False), "conv": (3, 0, True), "skip": (3, 2, True)}
+
+
+class TestBitwiseAgainstReferences:
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("case", sorted(SUBLAYERS))
+    def test_conv_bn_relu(self, rng, case, train, batch):
+        cx, cskip, x_learns = SUBLAYERS[case]
+        cout, hw = 5, (6, 9)
+        arrays = {"x": rng.standard_normal((batch, cx, *hw)),
+                  "weight": rng.standard_normal((cout, cx + cskip, 3, 3)),
+                  "bias": rng.standard_normal(cout),
+                  "gamma": rng.uniform(0.5, 1.5, cout),
+                  "beta": rng.standard_normal(cout)}
+        skip = rng.standard_normal((batch, cskip, *hw)) if cskip else None
+        stats = (0.5 * rng.standard_normal(cout), rng.uniform(0.5, 2.0, cout))
+        runs = []
+        for op in (dc.conv_bn_relu, conv_bn_relu_reference):
+            running = [DiffTensor(a) for a in stats]
+            inputs = dict(arrays, skip=skip) if cskip else arrays
+            out, grads = _forward_backward(
+                lambda *ts: op(*ts[:5], *running, train, *ts[5:]),
+                inputs, frozen=() if x_learns else ("x",))
+            runs.append(((out, grads), running))
+        (got, running), (want, running_ref) = runs
+        _assert_bitwise(got, want)
+        for t, t_ref, start in zip(running, running_ref, stats):
+            np.testing.assert_array_equal(t.data, t_ref.data)
+            if not train:
+                np.testing.assert_array_equal(t.data, start.astype(np.float32))
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_conv2d_head(self, rng, batch):
+        arrays = {"x": rng.standard_normal((batch, 4, 6, 9)),
+                  "weight": rng.standard_normal((1, 4, 1, 1)),
+                  "bias": rng.standard_normal(1)}
+        _assert_bitwise(_forward_backward(dc.conv2d, arrays),
+                        _forward_backward(conv2d_reference, arrays))
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_attention_gate(self, rng, batch):
+        names = ("q", "wq_w", "wq_b", "keys", "values")
+        arrays = dict(zip(names, _gate_inputs(rng, n=batch, c=4, hw=(3, 5), l=6)))
+        _assert_bitwise(_forward_backward(dc.attention_gate, arrays),
+                        _forward_backward(attention_gate_reference, arrays))
+
+
+class TestOutputGradientOwnership:
+    """A backward reads its output's gradient and never writes into it."""
+
+    @staticmethod
+    def check(y, rng):
+        r = DiffTensor(rng.standard_normal(y.data.shape))
+        backward(dc.sum_all(dc.mul(y, r)))
+        np.testing.assert_array_equal(y.grad, r.data)
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_conv_bn_relu(self, rng, train):
+        x, w, b, gamma, beta = (DiffTensor(a, requires_grad=True)
+                                for a in _sublayer(rng)[:5])
+        rm, rv = (DiffTensor(a) for a in _sublayer(rng)[5:])
+        self.check(dc.conv_bn_relu(x, w, b, gamma, beta, rm, rv, train), rng)
+
+    def test_attention_gate(self, rng):
+        inputs = [DiffTensor(a, requires_grad=True) for a in _gate_inputs(rng)]
+        self.check(dc.attention_gate(*inputs), rng)
+
+    def test_accum_grad_copies_the_first_gradient(self):
+        t = DiffTensor(np.zeros(3), requires_grad=True)
+        g = np.ones(3, dtype=t.data.dtype)
+        t.accum_grad(g)
+        g[:] = 5.0
+        np.testing.assert_array_equal(t.grad, np.ones(3))
+        t.accum_grad(g)
+        np.testing.assert_array_equal(t.grad, np.full(3, 6.0))
+
+    def test_accum_grad_takes_a_broadcast_view(self):
+        t = DiffTensor(np.zeros((2, 3)), requires_grad=True)
+        t.accum_grad(np.broadcast_to(np.float32(2.0), (2, 3)))
+        t.grad[0, 0] = 7.0
+        np.testing.assert_array_equal(t.grad, [[7.0, 2.0, 2.0], [2.0, 2.0, 2.0]])
+
+
+# ---------------------------------------------------------------------------
 # activations
 
 class TestElementwise:
@@ -747,6 +860,22 @@ class TestAttentionGate:
         out = dc.attention_gate(*inputs)
         assert out.data.shape == inputs[0].data.shape
         assert [id(p) for p in out._parents] == [id(t) for t in inputs]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_one_non_finite_token_row_raises(self, rng, bad):
+        # the projected queries' first channel is positive everywhere, so a
+        # key of (bad, 0, 0) makes one token's logits bad at every pixel and
+        # leaves the others finite: an -inf row leaves the per-pixel max
+        # finite
+        q, _, _, keys, values = _gate_inputs(rng)
+        q[:, 0] = np.abs(q[:, 0]) + 1.0
+        keys[0, 1] = (bad, 0.0, 0.0)
+        inputs = [DiffTensor(a) for a in (q, np.eye(3), np.zeros(3), keys, values)]
+        # BLAS may flag inf * 0 in its padding lanes; the logits are as above
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericalError, match="cross-attention logits"):
+            dc.attention_gate(*inputs)
 
     def test_shape_errors(self, rng):
         q, wq_w, wq_b, keys, values = (DiffTensor(a) for a in _gate_inputs(rng))

@@ -5,7 +5,9 @@ import pytest
 
 import ctxseg.diffcore as dc
 from ctxseg.diffcore import DiffTensor
-from ctxseg.errors import DataFormatError
+from ctxseg.errors import DataFormatError, NumericalError, ShapeError
+
+from oracles import adamw_step_reference
 
 
 class TestAdamW:
@@ -60,6 +62,69 @@ class TestAdamW:
         dc.adamw_step({"f": frozen, "l": live}, dc.AdamWState(lr=0.1))
         np.testing.assert_array_equal(frozen.data, np.ones(3))
         assert not np.array_equal(live.data, np.ones(3))
+
+    def test_matches_per_parameter_reference_bit_for_bit(self):
+        # "late" is first passed at step 3, between "a" and the others;
+        # "frozen" has a gradient it must ignore; "nograd" has none at odd
+        # steps
+        rng = np.random.default_rng(3)
+        init = {"a": rng.standard_normal((3, 4)), "late": rng.standard_normal((2, 3)),
+                "frozen": rng.standard_normal(2), "nograd": rng.standard_normal(5)}
+
+        def make():
+            return {k: DiffTensor(a, requires_grad=k != "frozen")
+                    for k, a in init.items()}
+
+        got, want = make(), make()
+        state, state_ref = dc.AdamWState(lr=1e-2), dc.AdamWState(lr=1e-2)
+        for step in range(1, 6):
+            grads = {k: rng.standard_normal(a.shape) for k, a in init.items()}
+            for params in (got, want):
+                for k, p in params.items():
+                    p.grad = (None if k == "nograd" and step % 2
+                              else grads[k].astype(p.data.dtype))
+            passed = [k for k in init if k != "late" or step >= 3]
+            dc.adamw_step({k: got[k] for k in passed}, state)
+            adamw_step_reference({k: want[k] for k in passed}, state_ref)
+            assert state.step_count == state_ref.step_count == step
+            for k in init:
+                np.testing.assert_array_equal(got[k].data, want[k].data, err_msg=k)
+            assert sorted(state.m) == sorted(state.v) == sorted(state_ref.m)
+            for k in state_ref.m:
+                np.testing.assert_array_equal(state.m[k], state_ref.m[k], err_msg=k)
+                np.testing.assert_array_equal(state.v[k], state_ref.v[k], err_msg=k)
+        np.testing.assert_array_equal(got["frozen"].data, init["frozen"].astype(np.float32))
+
+    @pytest.mark.parametrize("earlier_steps", [0, 2])
+    def test_rejected_step_changes_nothing(self, earlier_steps):
+        params = {k: DiffTensor(np.ones(3), requires_grad=True) for k in "abc"}
+        state = dc.AdamWState(lr=0.1)
+        for _ in range(earlier_steps):
+            for p in params.values():
+                p.grad = np.full(3, 0.5, dtype=p.data.dtype)
+            dc.adamw_step(params, state)
+        data = {k: p.data.copy() for k, p in params.items()}
+        moments = {k: (state.m[k].copy(), state.v[k].copy()) for k in state.m}
+        params["a"].grad = np.ones(3, dtype=np.float32)
+        params["b"].grad = np.array([1.0, np.nan, 1.0], dtype=np.float32)
+        params["c"].grad = np.array([np.inf, 1.0, 1.0], dtype=np.float32)
+        with pytest.raises(NumericalError, match="'b'"):
+            dc.adamw_step(params, state)
+        assert state.step_count == earlier_steps
+        for k, p in params.items():
+            np.testing.assert_array_equal(p.data, data[k])
+        assert sorted(state.m) == sorted(state.v) == sorted(moments)
+        for k, (m, v) in moments.items():
+            np.testing.assert_array_equal(state.m[k], m)
+            np.testing.assert_array_equal(state.v[k], v)
+
+    def test_moment_shape_mismatch_rejected(self):
+        p = DiffTensor(np.ones(3), requires_grad=True)
+        state = dc.AdamWState(lr=0.1)
+        dc.adamw_step({"p": p}, state)
+        with pytest.raises(ShapeError, match="'p'"):
+            dc.adamw_step({"p": DiffTensor(np.ones(4), requires_grad=True)}, state)
+        assert state.step_count == 1
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError):
