@@ -4,20 +4,25 @@ Everything operates on DiffTensor and returns DiffTensor. The two
 convolutions share one core, `_conv`: it flattens the padded NCHW input to
 (N, C, Hp*Wp), where each kernel tap (di, dj) reads the same contiguous run
 shifted by di*Wp + dj, so forward and backward are one BLAS matmul per tap
-and the gradient keeps the padded input, not a column matrix. The first
-tap's matmul writes straight into the output and the other taps go through
-one reused scratch buffer. `conv2d` is that conv alone. `conv_bn_relu` is conv ->
+and nothing the size of a column matrix is built. The first tap's matmul
+writes straight into the output and the other taps go through one reused
+scratch buffer. The graph holds no padded copy: the backward pads the input
+again from the arrays its producers hold, and that buffer then accumulates
+the input gradient. `conv2d` is that conv alone. `conv_bn_relu` is conv ->
 batch norm -> ReLU as one graph node: batch norm normalizes the conv's
 output in place, and the backward works in place on one masked copy of the
 output gradient, which it hands straight to the conv's. `attention_gate` is
 the pixel side of the text gate as one node, computed channel-major,
 (N, C, H*W) queries against (N, L, H*W) logits, so nothing is transposed
-and its softmax reduces across token rows.
+and its softmax reduces across token rows; its backward recomputes the
+projected queries rather than holding them.
 
-The in-place paths do the same arithmetic in the same order as allocating a
-fresh array for every intermediate, so their results are bitwise those of
-that simpler form, kept in tests/oracles.py as the reference. No backward
-writes into its output's gradient or into an array an input still holds.
+The in-place paths and the recomputed values do the same arithmetic in the
+same order as allocating and keeping a fresh array for every intermediate,
+so their results are bitwise those of that simpler form, kept in
+tests/oracles.py as the reference. No backward writes into its output's
+gradient or into an array an input holds, and no op's input array may be
+changed between its forward and backward, because backward reads it again.
 """
 
 from __future__ import annotations
@@ -82,13 +87,10 @@ def mean_all(a: DiffTensor) -> DiffTensor:
 # activations
 
 def sigmoid_np(z: np.ndarray) -> np.ndarray:
-    # branch form avoids overflow in exp for large |z|
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; 1/(1+e) for z >= 0 and e/(1+e) below are
+    # the two branches of the stable form, picked without boolean indexing
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1 / (1 + e), e / (1 + e))
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +130,10 @@ def attention_gate(q: DiffTensor, wq_w: DiffTensor, wq_b: DiffTensor,
     wq_w (c, c) is an (in, out) query projection with bias wq_b (c,); keys
     and values are (n, l, c), one row per token. Forward and backward
     keep q as (n, c, h*w) and the logits as (n, l, h*w), so the softmax
-    reduces across the l token rows over contiguous pixel runs.
-    NumericalError if a logit is not finite.
+    reduces across the l token rows over contiguous pixel runs. The graph
+    holds the softmax weights and the gate, not the projected queries:
+    backward recomputes Wq^T q + bq, the same GEMM in the same order, when
+    the keys need their gradient. NumericalError if a logit is not finite.
     """
     if q.data.ndim != 4:
         raise ShapeError(f"attention_gate: q must be NCHW, got {q.data.shape}")
@@ -145,9 +149,13 @@ def attention_gate(q: DiffTensor, wq_w: DiffTensor, wq_b: DiffTensor,
         raise ShapeError(f"attention_gate: values {values.data.shape} != keys {sk}")
     inv_sqrt_c = 1.0 / math.sqrt(c)
     qf = q.data.reshape(n, c, h * w)
-    qp = wq_w.data.T @ qf                                  # (n, c, h*w)
-    qp += wq_b.data[:, None]
-    a = keys.data @ qp                                     # (n, l, h*w)
+
+    def project():
+        qp = wq_w.data.T @ qf                              # (n, c, h*w)
+        qp += wq_b.data[:, None]
+        return qp
+
+    a = keys.data @ project()                              # (n, l, h*w)
     a *= inv_sqrt_c
     top = a.max(axis=1, keepdims=True)
     # max and min both propagate NaN, so these two see every non-finite logit
@@ -169,7 +177,7 @@ def attention_gate(q: DiffTensor, wq_w: DiffTensor, wq_b: DiffTensor,
         gs *= a
         gs *= inv_sqrt_c                                   # d(loss)/d(K qp)
         if keys.requires_grad:
-            keys.accum_grad(gs @ qp.transpose(0, 2, 1))
+            keys.accum_grad(gs @ project().transpose(0, 2, 1))
         gqp = keys.data.transpose(0, 2, 1) @ gs            # (n, c, h*w)
         wq_b.accum_grad(gqp.sum(axis=(0, 2)))
         wq_w.accum_grad((qf @ gqp.transpose(0, 2, 1)).sum(axis=0))
@@ -207,8 +215,12 @@ def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str,
     flat index p + di*Wp + dj, so each tap is a contiguous slice. The first
     tap's GEMM writes the output itself and every later tap goes through one
     scratch buffer, the same sums in the same order as adding each tap to a
-    zeroed output. `back` holds the padded input and the tap-major kernel,
-    nothing the size of a column matrix. `op` names the caller in errors.
+    zeroed output. The padded input is dropped once the forward taps have
+    run, so `back` holds only the tap-major kernel: it pads x.data and
+    skip.data again, runs the weight-gradient taps on that buffer and then
+    reuses it as the input-gradient accumulator. With nothing to pad or
+    append (the 1x1 head) the flat input is x.data itself, which is only
+    read. `op` names the caller in errors.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"{op} input must be NCHW, got {x.data.shape}")
@@ -229,24 +241,31 @@ def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str,
         raise ShapeError(f"{op}: bias shape {bias.data.shape} != ({cout},)")
     k, pad = kh, kh // 2
     hp, wp = h + 2 * pad, w + 2 * pad
-    if pad or skip is not None:
+    padded = bool(pad) or skip is not None
+
+    def flat_input():
+        # (n, cin, hp*wp): x and skip zero-padded side by side into a fresh
+        # buffer, or x.data itself when there is nothing to pad or append
+        if not padded:
+            return x.data.reshape(n, cin, hp * wp)
         xp = np.zeros((n, cin, hp, wp), dtype=x.data.dtype)
         xp[:, :cx, pad:pad + h, pad:pad + w] = x.data
         if skip is not None:
             xp[:, cx:, pad:pad + h, pad:pad + w] = skip.data
-    else:
-        xp = x.data
-    xf = xp.reshape(n, cin, hp * wp)
+        return xp.reshape(n, cin, hp * wp)
+
+    xf = flat_input()
     # h output rows on the padded-width grid; the last k-1 columns of each
     # row wrap into the next row and are never kept.
     span = h * wp - (k - 1)
     taps = [(di, dj, di * wp + dj) for di in range(k) for dj in range(k)]
     wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))   # (k, k, cout, cin)
-    yd = np.empty((n, cout, h * wp), dtype=xp.dtype)
+    dtype = xf.dtype
+    yd = np.empty((n, cout, h * wp), dtype=dtype)
     ys = yd[:, :, :span]
     _tap_gemm(wt[0, 0], xf[:, :, :span], ys)
     if k > 1:
-        scratch = np.empty((n, cout, span), dtype=xp.dtype)
+        scratch = np.empty((n, cout, span), dtype=dtype)
         for di, dj, off in taps[1:]:
             _tap_gemm(wt[di, dj], xf[:, :, off:off + span], scratch)
             ys += scratch
@@ -257,21 +276,25 @@ def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str,
 
     def back(g):
         bias.accum_grad(g.sum(axis=(0, 2, 3)))
-        gd = np.zeros((n, cout, h, wp), dtype=xp.dtype)
+        gd = np.zeros((n, cout, h, wp), dtype=dtype)
         gd[:, :, :, :w] = g
         ga = gd.reshape(n, cout, h * wp)[:, :, :span]
+        xf = flat_input()
         gw = np.empty_like(wt)
-        gw_items = np.empty((n, cout, cin), dtype=xp.dtype)
+        gw_items = np.empty((n, cout, cin), dtype=dtype)
         for di, dj, off in taps:
             np.matmul(ga, xf[:, :, off:off + span].transpose(0, 2, 1), out=gw_items)
             gw_items.sum(axis=0, out=gw[di, dj])
         weight.accum_grad(gw.transpose(2, 3, 0, 1))
         if not input_grad:
             return
-        gxf = np.zeros_like(xf)
+        # the rebuilt input is this call's own buffer, so it becomes the
+        # input-gradient accumulator; x.data (nothing padded) is never written
+        gxf = xf if padded else np.empty_like(xf)
+        gxf[:, :, span:] = 0
         _tap_gemm(wt[0, 0].T, ga, gxf[:, :, :span])
         if k > 1:
-            scratch = np.empty((n, cin, span), dtype=xp.dtype)
+            scratch = np.empty((n, cin, span), dtype=dtype)
             for di, dj, off in taps[1:]:
                 _tap_gemm(wt[di, dj].T, ga, scratch)
                 gxf[:, :, off:off + span] += scratch

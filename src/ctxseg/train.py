@@ -140,14 +140,18 @@ def _as_weights(src, mc: ModelConfig, ablation: str) -> dict:
 
 def evaluate(checkpoint, samples, cfg: TrainConfig,
              threshold: float | None = None) -> EvalResult:
-    """Eval-mode Dice over samples: mean, population SD, per-sample scores."""
+    """Eval-mode Dice over samples: mean, population SD, per-sample scores.
+
+    The forward runs `cfg.batch_size` samples at a time, so it holds no more
+    activations than a train step. Every eval-mode op works per item, so the
+    scores do not depend on the batch size."""
     if not samples:
         raise ValueError("evaluate needs at least one sample")
     thr = cfg.threshold if threshold is None else threshold
     weights = _as_weights(checkpoint, cfg.model, cfg.ablation)
     scores = []
-    for start in range(0, len(samples), 8):
-        chunk = samples[start:start + 8]
+    for start in range(0, len(samples), cfg.batch_size):
+        chunk = samples[start:start + cfg.batch_size]
         logits = _forward_batch(weights, [s.image for s in chunk],
                                 [s.report for s in chunk], cfg, train=False)
         preds = predict_mask(logits, thr)

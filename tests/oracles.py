@@ -3,9 +3,11 @@
 Everything here is deliberately written as plain quadruple loops or direct
 formula transcriptions, sharing no code with the package under test, except
 the `*_reference` ops at the end: vectorized versions of `conv2d`,
-`conv_bn_relu`, `attention_gate` and `adamw_step` that allocate a fresh array
-for every intermediate. The package computes the same arithmetic in place,
-and tests require its results to equal these bit for bit.
+`conv_bn_relu`, `attention_gate` and `adamw_step` that allocate and keep a
+fresh array for every intermediate, and the boolean-indexed branch form of
+`sigmoid_np`. The package computes the same arithmetic in place, or
+recomputes what these keep, and tests require its results to equal these bit
+for bit.
 """
 
 import math
@@ -373,3 +375,14 @@ def adamw_step_reference(params, state):
         if state.weight_decay:
             update = update + state.weight_decay * p.data
         p.data -= state.lr * update
+
+
+def sigmoid_reference(z):
+    """The logistic in its branch form: boolean masks pick 1 / (1 + exp(-z))
+    where z >= 0 and exp(z) / (1 + exp(z)) elsewhere, NaN included."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out

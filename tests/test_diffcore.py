@@ -15,7 +15,7 @@ from gradcheck import finite_diff_check
 from oracles import (attention_gate_reference, batchnorm_train_direct,
                      conv2d_loops, conv2d_reference, conv_bn_relu_reference,
                      matmul_loops, maxpool2_loops, rowsoftmax_direct,
-                     upconv2_loops)
+                     sigmoid_reference, upconv2_loops)
 
 
 def proj_loss(out, seed=0):
@@ -524,10 +524,16 @@ class TestConvBnReluSkip:
 def _forward_backward(op, arrays, frozen=()):
     """op over float32 tensors of `arrays` (a name -> array dict, in the op's
     argument order; names in `frozen` need no gradient), then backward
-    through proj_loss. Returns the output and every tensor's gradient."""
+    through proj_loss. Asserts that neither pass changed an input array: the
+    conv's backward pads its input again into a buffer of its own and
+    accumulates the input gradient there, never in x.data or skip.data.
+    Returns the output and every tensor's gradient."""
     ts = {k: DiffTensor(a, requires_grad=k not in frozen) for k, a in arrays.items()}
+    before = {k: t.data.copy() for k, t in ts.items()}
     out = op(*ts.values())
     backward(proj_loss(out))
+    for k, t in ts.items():
+        np.testing.assert_array_equal(t.data, before[k], err_msg=f"{k} changed")
     return out, {k: t.grad for k, t in ts.items()}
 
 
@@ -631,6 +637,17 @@ class TestOutputGradientOwnership:
 
 # ---------------------------------------------------------------------------
 # activations
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_branch_form(self, rng, dtype):
+        z = np.concatenate([30.0 * rng.standard_normal(1000),
+                            [0.0, -0.0, 1.0, -1.0, 1e4, -1e4, np.inf, -np.inf,
+                             np.nan, 1e-40, -1e-40]]).astype(dtype)
+        got = dc.sigmoid_np(z)
+        assert got.dtype == dtype
+        assert np.array_equal(got, sigmoid_reference(z), equal_nan=True)
+
 
 class TestElementwise:
     def test_relu_values(self):

@@ -1,7 +1,9 @@
 """Training loop contracts, cross-validation, ablation table, probes."""
 
 import json
+import math
 import statistics
+import types
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 from ctxseg.augment import AugmentPolicy
 from ctxseg.data import (GeneratorConfig, SplitSpec, centroid_side, dice,
                          generate_dataset)
-from ctxseg.diffcore import load_checkpoint, save_checkpoint
+from ctxseg.diffcore import bce_with_logits, load_checkpoint, save_checkpoint
 from ctxseg.errors import DataFormatError, ShapeError
 from ctxseg.model import ModelConfig, init_weights, predict_mask
 from ctxseg.train import (ABLATION_ARMS, TrainConfig, _as_weights, _forward_batch,
@@ -133,6 +135,82 @@ class TestEvaluate:
                            match=r"'enc2\.conv1\.w' has shape \(8, 4, 3, 3\), "
                                  r"model config expects \(12, 4, 3, 3\)"):
             evaluate(str(ckpt), tiny_dataset[:2], wide)
+
+
+    @pytest.mark.parametrize("arm", ["full", "no_text", "baseline_unet"])
+    def test_scores_do_not_depend_on_batch_size(self, tiny_dataset, arm):
+        # every eval-mode op works per item, so the chunking is free to change
+        cfg = tiny_train_config(ablation=arm)
+        samples = tiny_dataset[:7]
+        live = init_weights(cfg.model, with_attention=arm != "baseline_unet")
+        weights = _as_weights(live, cfg.model, arm)
+
+        def logits(chunk):
+            return _forward_batch(weights, [s.image for s in chunk],
+                                  [s.report for s in chunk], cfg, train=False).data
+
+        together = logits(samples)
+        for j, s in enumerate(samples):
+            np.testing.assert_array_equal(logits([s])[0], together[j])
+        runs = [evaluate(weights, samples, replace(cfg, batch_size=b)).scores
+                for b in (1, 3, 4, 8)]
+        for scores in runs[1:]:
+            assert scores == runs[0]
+
+
+def _held_buffers(loss, exclude):
+    """{id: array} of the base buffers a recorded graph keeps alive until
+    backward: every node's .data and every array in its closure's cells,
+    following closures held in cells. Buffers whose id is in `exclude` are
+    left out."""
+    def base(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    held, seen, stack, funcs = {}, set(), [loss], []
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        held[id(base(t.data))] = base(t.data)
+        if t._backward is not None:
+            funcs.append(t._backward)
+        stack.extend(t._parents)
+    while funcs:
+        f = funcs.pop()
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        for cell in f.__closure__ or ():
+            v = cell.cell_contents
+            if isinstance(v, np.ndarray):
+                held[id(base(v))] = base(v)
+            elif isinstance(v, types.FunctionType):
+                funcs.append(v)
+    return {k: a for k, a in held.items() if k not in exclude}
+
+
+class TestHeldGraph:
+    def test_default_train_step_holds_no_padded_copy(self):
+        # a default-config, batch-4 train graph on the full arm: the conv
+        # backward pads its input again and the gate recomputes its queries,
+        # so the graph holds 13.54 MiB of activations (18.73 MiB when both
+        # were kept); counted in bytes, so the figure is exact
+        cfg = TrainConfig()
+        batch = generate_dataset(GeneratorConfig(n=4), base_seed=3)
+        weights = init_weights(cfg.model, with_attention=True)
+        logits = _forward_batch(weights, [s.image for s in batch],
+                                [s.report for s in batch], cfg, train=True)
+        targets = np.stack([s.mask for s in batch]).astype(np.float32)[:, None]
+        loss = bce_with_logits(logits, targets)
+        held = _held_buffers(loss, {id(t.data) for t in weights.values()})
+        side = batch[0].image.shape[0]
+        padded = {(side // 2 ** i + 2) ** 2 for i in range(cfg.model.depth + 1)}
+        shapes = [a.shape for a in held.values()]
+        assert not [s for s in shapes if len(s) >= 3 and math.prod(s[2:]) in padded]
+        assert sum(a.nbytes for a in held.values()) < 14.0 * 2 ** 20
 
 
 class TestAsWeights:
