@@ -65,6 +65,7 @@ DEFAULT_LEXICON = {
 
 _SENTENCE_RE = re.compile(r"[^.!?]*[.!?]|[^.!?]+$")
 _TOKEN_RE = re.compile(r"^(\W*)(.*?)(\W*)$", re.DOTALL)
+_WORD_PATTERN = r"(?<![a-z]){}(?![a-z])"   # one whole word, filled in by swap_word
 
 
 @dataclass
@@ -213,6 +214,16 @@ def synonym_replace(text: str, lexicon: dict, p: float, rng) -> str:
             token = pre + syns[int(rng.integers(len(syns)))] + post
         out.append(token)
     return " ".join(out)
+
+
+def swap_word(text: str, src: str, dst: str) -> str:
+    """`text` with every whole-word, case-insensitive `src` replaced by `dst`;
+    an empty `dst` deletes the word. An empty `src` would match at every
+    word boundary, so it raises ValueError."""
+    if not src:
+        raise ValueError("swap source word is empty")
+    return re.sub(_WORD_PATTERN.format(re.escape(src.lower())), dst, text,
+                  flags=re.IGNORECASE)
 
 
 def _augment_once(sample: Sample, policy: AugmentPolicy, seed: int) -> Sample:

@@ -283,8 +283,8 @@ def _cmd_probe(args) -> int:
     swaps = _parse_swaps(args.swap) or [("left", "right"), ("large", "small")]
     report = word_swap_probe(args.checkpoint, samples, swaps, cfg)
     for key, agg in report["swaps"].items():
-        print(f"{key}: n={agg['samples']} flip_rate={agg['flip_rate_pct']:.1f}% "
-              f"area_ratio={agg['mean_area_ratio_pct']:.1f}%")
+        print(f"{key}: n={agg['samples']} flip_rate={100.0 * agg['flip_rate']:.1f}% "
+              f"area_ratio={100.0 * agg['mean_area_ratio']:.1f}%")
     if args.out:
         echo["data"]["dir"] = path
         _write_echo(args.out, "probe", echo)

@@ -54,10 +54,6 @@ class DiffTensor:
         t._spent = False
         return t
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def accum_grad(self, g) -> None:
         if not self.requires_grad:
             return
@@ -70,9 +66,6 @@ class DiffTensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"DiffTensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

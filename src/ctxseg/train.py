@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import re
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diffcore as dc
-from .augment import AugmentPolicy, augment_sample
+from .augment import AugmentPolicy, augment_sample, swap_word
 from .data import (Sample, SplitSpec, centroid_side, dice, split_indices,
                    write_pgm)
 from .diffcore import DiffTensor
@@ -344,28 +343,15 @@ def ablate(arms: dict, dataset, out_dir, jobs: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 # probes
 
-_def_word = r"(?<![a-z]){}(?![a-z])"
-
-
-def swap_word(text: str, src: str, dst: str) -> str:
-    """`text` with every whole-word, case-insensitive `src` replaced by `dst`;
-    an empty `dst` deletes the word. An empty `src` would match at every
-    word boundary, so it raises ValueError."""
-    if not src:
-        raise ValueError("swap source word is empty")
-    return re.sub(_def_word.format(re.escape(src.lower())), dst, text,
-                  flags=re.IGNORECASE)
-
-
 def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig) -> dict:
     """Re-predict each sample with single words swapped in its report.
 
     For every (src, dst) swap and every sample whose report contains src,
     records centroid sides before/after, the predicted-area ratio, and the
     IoU between the two predictions; aggregates flip rate and mean area ratio
-    per swap (also as percentages). Each probed sample takes one
-    `_forward_batch` call, one image under the distinct reports its arm
-    reads: on `full` the original and every swap that changes it; on
+    per swap, as fractions. Each probed sample takes one `_forward_batch`
+    call, one image under the distinct reports its arm reads: on `full` the
+    original and every swap that changes it; on
     `no_text` and `baseline_unet`, which read no report, the
     original alone, whose prediction serves every variant. An empty swap
     source word raises ValueError (see swap_word).
@@ -412,9 +398,7 @@ def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig) -> dict:
         report["swaps"][key] = {
             "samples": len(entries),
             "flip_rate": flip_rate,
-            "flip_rate_pct": 100.0 * flip_rate,
             "mean_area_ratio": mean_ratio,
-            "mean_area_ratio_pct": 100.0 * mean_ratio,
             "entries": entries,
         }
     return report

@@ -11,6 +11,7 @@ for bit.
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -346,13 +347,24 @@ def attention_gate_reference(q, wq_w, wq_b, keys, values):
     return out
 
 
+@dataclass
+class AdamWReferenceState:
+    """The reference's AdamW state: one moment array per name."""
+    lr: float
+    step_count: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+
 def adamw_step_reference(params, state):
     """AdamW one parameter at a time, with the moments in `state.m` and
-    `state.v` as one array per name."""
+    `state.v` as one array per name, at betas 0.9 and 0.999, eps 1e-8 and
+    weight decay 0.01."""
+    beta1, beta2, eps, weight_decay = 0.9, 0.999, 1e-8, 0.01
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
     for name, p in params.items():
         if not p.requires_grad:
             continue
@@ -367,13 +379,12 @@ def adamw_step_reference(params, state):
         if m.shape != p.data.shape:
             raise ShapeError(f"AdamW state for {name!r} has shape {m.shape}, "
                              f"parameter has {p.data.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        if state.weight_decay:
-            update = update + state.weight_decay * p.data
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        update = update + weight_decay * p.data
         p.data -= state.lr * update
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from ctxseg.augment import (DEFAULT_LEXICON, AugmentPolicy, _bilinear, _nearest,
                             augment_sample, geometric_distort, hflip, photometric,
-                            sentence_shuffle, synonym_replace)
+                            sentence_shuffle, swap_word, synonym_replace)
 from ctxseg.data import (GeneratorConfig, Sample, SampleAttrs, centroid_side,
                          generate_sample)
 from ctxseg.util import rng_from
@@ -212,6 +212,10 @@ class TestText:
             if synonym_replace("term", lex, 0.15, rng) == "syn":
                 hits += 1
         assert 0.14 <= hits / 10000 <= 0.16
+
+    def test_swap_word_is_word_bounded(self):
+        assert swap_word("left leftover cleft", "left", "right") == \
+               "right leftover cleft"
 
 
 class TestPipeline:
