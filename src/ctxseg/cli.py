@@ -138,7 +138,7 @@ def load_config(path, overrides=()):
     data_dir = doc.get("data", {}).get("dir")
     train_kwargs = {k: v for k, v in doc.get("train", {}).items()}
     try:
-        cfg = TrainConfig(seed=int(doc.get("seed", 0)), model=model,
+        cfg = TrainConfig(seed=doc.get("seed", 0), model=model,
                           policy=policy, split=split, **train_kwargs)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"config section 'train': {e}") from None

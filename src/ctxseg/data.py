@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, ShapeError
-from .util import mix64, rng_from
+from .util import check_int, check_seed, mix64, rng_from
 
 _SALT_SAMPLE = 0x5A17
 _SALT_SPLIT = 0x51DE
@@ -82,11 +82,19 @@ class GeneratorConfig:
     present_fraction: float = 1.0
     ambiguous_fraction: float = 0.75
 
+    def __post_init__(self):
+        check_int("image_size", self.image_size)
+        check_int("n", self.n)
+
 
 @dataclass
 class SplitSpec:
     fractions: tuple = (0.7, 0.15, 0.15)
     fold_seeds: list = field(default_factory=lambda: [101, 102, 103, 104, 105])
+
+    def __post_init__(self):
+        for s in self.fold_seeds:
+            check_seed("fold_seeds entry", s)
 
 
 @functools.lru_cache(maxsize=64)

@@ -21,7 +21,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import DiffTensor
 from .errors import ShapeError
-from .util import fnv1a_str, rng_from
+from .util import check_int, check_seed, fnv1a_str, rng_from
 
 
 @dataclass
@@ -34,6 +34,12 @@ class ModelConfig:
     embed_seed: int = 7001
 
     def __post_init__(self):
+        for c in self.channels:
+            check_int("channels entry", c)
+        for name in ("bottleneck", "d_e", "max_tokens"):
+            check_int(name, getattr(self, name))
+        check_seed("init_seed", self.init_seed)
+        check_seed("embed_seed", self.embed_seed)
         if not self.channels:
             raise ValueError("channels needs at least one encoder level")
         ladder = list(self.channels) + [self.bottleneck]

@@ -29,7 +29,7 @@ from .errors import DataFormatError, NumericalError, ShapeError
 from .model import (ModelConfig, init_weights, predict_mask, text_gated_forward,
                     unet_forward, weight_shapes)
 from .textenc import embed, tokenize
-from .util import mix64, rng_from
+from .util import check_int, check_seed, mix64, rng_from
 
 _SALT_SHUFFLE = 0x54F1
 
@@ -49,6 +49,9 @@ class TrainConfig:
     split: SplitSpec = field(default_factory=SplitSpec)
 
     def __post_init__(self):
+        check_int("epochs", self.epochs)
+        check_int("batch_size", self.batch_size)
+        check_seed("seed", self.seed)
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:

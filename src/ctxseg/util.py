@@ -7,6 +7,8 @@ seeds that produced it, independent of execution order.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -23,6 +25,20 @@ def fnv1a_bytes(data: bytes) -> int:
 
 def fnv1a_str(s: str) -> int:
     return fnv1a_bytes(s.encode("utf-8"))
+
+
+def check_int(name: str, value) -> None:
+    """ValueError unless value is an integer. A bool is not one, and a float
+    is not truncated to one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_seed(name: str, value) -> None:
+    """ValueError unless value is an integer that `mix64` takes: [0, 2**64)."""
+    check_int(name, value)
+    if not 0 <= value <= _MASK:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
 
 
 def mix64(*vals: int) -> int:

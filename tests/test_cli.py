@@ -216,6 +216,27 @@ def test_train_with_nonpositive_batch_size_exits_1(batch_size, data_dir, tmp_pat
     assert not (out / "checkpoint.ctxn").exists()
 
 
+@pytest.mark.parametrize("command,override,message", [
+    ("gen-data", "data.n=3.5", "n must be an integer, got 3.5"),
+    ("train", "train.epochs=2.5", "epochs must be an integer, got 2.5"),
+    ("gen-data", "seed=-2", "seed must lie in [0, 2**64), got -2"),
+    ("gen-data", f"seed={2 ** 64}", f"seed must lie in [0, 2**64), got {2 ** 64}"),
+    ("train", "split.fold_seeds=[-1]", "fold_seeds entry must lie in [0, 2**64), got -1"),
+    ("train", "model.init_seed=-1", "init_seed must lie in [0, 2**64), got -1"),
+    ("gen-data", "seed=1.7", "seed must be an integer, got 1.7"),
+    ("train", "train.batch_size=true", "batch_size must be an integer, got True"),
+])
+def test_bad_integer_config_value_exits_1(command, override, message, data_dir,
+                                          tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)]
+    if command == "train":
+        argv += ["--data", str(data_dir), "--override", "train.epochs=1"]
+    assert run(argv + ["--override", override]) == 1
+    assert message in _assert_one_error_line(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("channel", ["99", "-1"])
 def test_viz_with_channel_outside_the_model_exits_1(channel, tmp_path, capsys):
     data = tmp_path / "data"

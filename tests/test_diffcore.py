@@ -1,5 +1,6 @@
 """Forward oracles and gradient checks for every differentiable primitive."""
 
+import gc
 import itertools
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import ctxseg.diffcore as dc
-from ctxseg.diffcore import DiffTensor, backward
+from ctxseg.diffcore import DiffTensor, backward, tensor
 from ctxseg.diffcore.ops import _conv
 from ctxseg.errors import GraphError, NumericalError, ShapeError
 
@@ -986,10 +987,48 @@ class TestBackward:
             assert t._backward is None and t._parents == ()
         assert float(x.grad) == 12.0
 
+    def test_consumed_nodes_are_freed_before_backward_returns(self):
+        # The probe node's closure runs last. By then the two interior mul
+        # nodes have run theirs and nothing outside backward holds them, so
+        # only x, r and the probe node itself are alive.
+        shape = (3, 5, 7)                      # no other live tensor has it
+        made, alive = [], []
+
+        def probe(a):
+            def back():
+                a.accum_grad(out.grad)
+                alive.extend(id(t) for t in gc.get_objects()
+                             if isinstance(t, DiffTensor) and t.data.shape == shape)
+
+            out = DiffTensor._node(a.data.copy(), (a,), back)
+            made.append(id(out))
+            return out
+
+        gc.collect()
+        x = DiffTensor(np.ones(shape), requires_grad=True)
+        r = DiffTensor(np.full(shape, 2.0))
+        loss = dc.sum_all(dc.mul(dc.mul(probe(x), r), r))
+        backward(loss)
+        assert sorted(alive) == sorted([id(x), id(r), made[0]])
+        np.testing.assert_array_equal(x.grad, np.full(shape, 4.0))
+        assert loss.grad is not None and float(loss.data) == 4.0 * x.data.size
+
     def test_non_scalar_loss_rejected(self):
         x = DiffTensor(np.ones(3), requires_grad=True)
         with pytest.raises(ShapeError, match="scalar"):
             backward(dc.mul(x, x))
+
+    @pytest.mark.parametrize("error", [AttributeError, ValueError, OSError])
+    def test_heap_policy_skipped_off_glibc(self, error, monkeypatch):
+        def no_glibc(name):
+            raise error(name)
+
+        def no_libc(name):
+            raise AssertionError("mallopt called off glibc")
+
+        monkeypatch.setattr(tensor.os, "confstr", no_glibc)
+        monkeypatch.setattr(tensor.ctypes, "CDLL", no_libc)
+        tensor._keep_freed_heap()
 
 
 def _const(*shape):
