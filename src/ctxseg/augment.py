@@ -38,7 +38,7 @@ import numpy as np
 
 from .data import Sample, _blur
 from .errors import RejectedSample
-from .util import mix64, rng_from
+from .util import check_float, mix64, rng_from
 
 _SALT_AUG = 0xA06
 _SALT_RETRY = 0xA5E7
@@ -81,6 +81,7 @@ class AugmentPolicy:
         for name in ("p_photometric", "p_distort", "p_ssr", "p_hflip",
                      "text_synonym_p"):
             v = getattr(self, name)
+            check_float(name, v)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0,1], got {v}")
 

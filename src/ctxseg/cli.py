@@ -5,7 +5,8 @@ one JSON document with sections train/model/augment/split/data plus a top
 level seed; an empty or missing file means all defaults. Dotted --override
 keys (repeatable) are applied last. --override is the one way to set the seed
 and the sample count: `--override seed=3`, `--override data.n=16`. `ablate`
-runs the four arms of train.paper_arms. Every artifact-producing run that
+trains the four arms of train.paper_arms on every fold seed, `--jobs` of
+those (arm, fold) runs at a time. Every artifact-producing run that
 succeeds writes `invocation.json`, the config sections its command reads
 plus a top-level "command" name that loading skips, so
 `--config run/invocation.json` repeats the run.
@@ -194,7 +195,8 @@ def _build_parser() -> _Parser:
 
     p = common(sub.add_parser("ablate", help="run the ablation battery"))
     p.add_argument("--data", help="dataset directory")
-    p.add_argument("--jobs", type=int, default=1, help="arms run in parallel")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="(arm, fold) runs in parallel")
 
     p = common(sub.add_parser("probe", help="word-swap probe"),
                out_required=False)

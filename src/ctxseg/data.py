@@ -5,8 +5,9 @@ field" ellipses over correlated noise, with a crescent-shaped bright target
 at a (side, zone) location and a templated report describing it. In ambiguous
 mode a visually identical crescent is rendered at the mirrored position but
 left out of the mask, so only the report's side word identifies the target.
-Sides are image-space: "left" means centroid x < (S-1)/2, the axis the
-twin and hflip mirror about; a centroid on that axis has no side.
+Sides are image-space: "left" means centroid x <= (S-1)/2 - 1, a pixel or
+more left of the axis the twin and hflip mirror about; a centroid less than a
+pixel from that axis has no side.
 
 The noise field and the soft shape edges come from `_blur`, a separable
 Gaussian in float64: weights exp(-x^2 / 2 sigma^2) for |x| <= int(4 sigma +
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, ShapeError
-from .util import check_int, check_seed, mix64, rng_from
+from .util import check_float, check_int, check_seed, mix64, rng_from
 
 _SALT_SAMPLE = 0x5A17
 _SALT_SPLIT = 0x51DE
@@ -85,6 +86,15 @@ class GeneratorConfig:
     def __post_init__(self):
         check_int("image_size", self.image_size)
         check_int("n", self.n)
+        if self.image_size < 32:
+            raise ValueError(f"image_size must be >= 32, got {self.image_size}")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        for name in ("present_fraction", "ambiguous_fraction"):
+            v = getattr(self, name)
+            check_float(name, v)
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must lie in [0,1], got {v}")
 
 
 @dataclass
@@ -93,6 +103,10 @@ class SplitSpec:
     fold_seeds: list = field(default_factory=lambda: [101, 102, 103, 104, 105])
 
     def __post_init__(self):
+        for f in self.fractions:
+            check_float("fractions entry", f)
+        if not self.fold_seeds:
+            raise ValueError("fold_seeds needs at least one seed")
         for s in self.fold_seeds:
             check_seed("fold_seeds entry", s)
 
@@ -135,8 +149,6 @@ def _crescent(xx, yy, cx, cy, r, bite_sign):
 def generate_sample(seed: int, cfg: GeneratorConfig) -> Sample:
     """Render one sample deterministically from its seed."""
     s = cfg.image_size
-    if s < 32:
-        raise ValueError(f"image_size must be >= 32, got {s}")
     rng = rng_from(seed, _SALT_SAMPLE)
     yy, xx = np.mgrid[0:s, 0:s].astype(np.float64)
 
@@ -362,12 +374,13 @@ def centroid_side(mask: np.ndarray) -> str | None:
     """Which side of the vertical axis (W-1)/2 holds the mask centroid; the
     axis is the one that the generator and hflip mirror about, so a mask and
     its mirror image never read the same side. None for an empty mask or a
-    centroid on the axis."""
+    centroid less than 1 px from the axis: a mask that straddles the axis
+    has no side, so a sub-pixel move of it is no side flip."""
     ys, xs = np.nonzero(mask)
     if xs.size == 0:
         return None
-    cx, axis = xs.mean(), (mask.shape[1] - 1) / 2.0
-    if cx == axis:
+    offset = xs.mean() - (mask.shape[1] - 1) / 2.0
+    if abs(offset) < 1.0:
         return None
-    return "left" if cx < axis else "right"
+    return "left" if offset < 0 else "right"
 

@@ -1,4 +1,4 @@
-"""Training loop, cross-validation, ablation battery, probes, and dumps.
+"""Training loop, the cross-validated ablation battery, probes, and dumps.
 
 A run is a pure function of (config, dataset): shuffling, augmentation, and
 initialization all derive from the config seeds, so rerunning a config
@@ -29,7 +29,7 @@ from .errors import DataFormatError, NumericalError, ShapeError
 from .model import (ModelConfig, init_weights, predict_mask, text_gated_forward,
                     unet_forward, weight_shapes)
 from .textenc import embed, tokenize
-from .util import check_int, check_seed, mix64, rng_from
+from .util import check_float, check_int, check_seed, mix64, rng_from
 
 _SALT_SHUFFLE = 0x54F1
 
@@ -52,6 +52,8 @@ class TrainConfig:
         check_int("epochs", self.epochs)
         check_int("batch_size", self.batch_size)
         check_seed("seed", self.seed)
+        check_float("lr", self.lr)
+        check_float("threshold", self.threshold)
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:
@@ -242,34 +244,6 @@ def train(cfg: TrainConfig, dataset, out_dir, fold_seed: int | None = None
     return record
 
 
-@dataclass
-class CVResult:
-    records: list
-    mean: float
-    sd: float
-
-
-def cross_validate(cfg: TrainConfig, dataset, out_dir) -> CVResult:
-    """One train per fold seed; aggregate mean and SD across fold test means."""
-    if len(dataset) < len(cfg.split.fold_seeds) * cfg.batch_size:
-        raise ValueError(
-            f"dataset of {len(dataset)} too small for "
-            f"{len(cfg.split.fold_seeds)} folds at batch size {cfg.batch_size}")
-    out_dir = Path(out_dir)
-    records = [train(cfg, dataset, out_dir / f"fold{k}", fs)
-               for k, fs in enumerate(cfg.split.fold_seeds)]
-    means = [r.test_dice_mean for r in records]
-    result = CVResult(records=records, mean=float(np.mean(means)),
-                      sd=float(np.std(means)))
-    (out_dir / "cv.json").write_text(json.dumps({
-        "mean": result.mean, "sd": result.sd,
-        "folds": [{"fold_seed": r.fold_seed, "dice": r.test_dice_mean,
-                   "sd": r.test_dice_sd, "best_epoch": r.best_epoch}
-                  for r in records],
-    }, indent=2, sort_keys=True) + "\n")
-    return result
-
-
 def paper_arms(cfg: TrainConfig) -> dict:
     """The paper's four ablation arms as {name: TrainConfig}: three model arms
     under cfg's policy, and `flip`, the `full` model trained with the
@@ -281,27 +255,39 @@ def paper_arms(cfg: TrainConfig) -> dict:
             "baseline_unet": replace(cfg, ablation="baseline_unet")}
 
 
-def _run_arm(args):
-    name, cfg, dataset, arm_dir = args
-    return name, cross_validate(cfg, dataset, arm_dir)
-
-
 def ablate(arms: dict, dataset, out_dir, jobs: int = 1) -> dict:
-    """Cross-validate each {name: TrainConfig} of `arms` into out_dir/<name>.
+    """Train each {name: TrainConfig} of `arms` on every fold seed, into
+    out_dir/<name>/fold<k>, and compare the arms over the folds.
 
-    The arms must share `split` and `seed`, so the comparison stays paired;
-    ValueError otherwise. jobs > 1 runs the arms in spawned workers with one
-    BLAS thread each; they import the calling script, so its entry point
-    must sit under `if __name__ == "__main__":`. Emits comparison.csv (arm, fold, dice, sd) plus
-    comparison.json with per-arm aggregates and Dice deltas against the arm
-    named `full` (None without one).
+    The arms must share `split` and `seed`, so the comparison stays paired,
+    and the dataset must hold (folds x batch size) samples for every arm.
+    These rules and jobs >= 1 are checked before any directory is made or
+    any fold trains (ValueError). jobs > 1 trains the (arm, fold) runs in
+    spawned workers with one BLAS thread each; they import the calling
+    script, so its entry point must sit under `if __name__ == "__main__":`.
+    The files do not depend on jobs.
+
+    Writes each arm's cv.json (mean and population SD of its fold test means,
+    and per fold the Dice, SD and best epoch), comparison.csv (arm, fold,
+    dice, sd) and comparison.json (per arm the mean, SD and median of the
+    fold test means, and the mean's delta against the arm named `full`, None
+    without one). Returns {"summary": <comparison.json content>,
+    "results": {name: [RunRecord per fold]}}.
     """
+    if jobs < 1:
+        raise ValueError(f"ablate: jobs must be >= 1, got {jobs}")
     first = next(iter(arms.values()))
     if any((c.split, c.seed) != (first.split, first.seed) for c in arms.values()):
         raise ValueError("ablate: the arms must share split and seed")
+    fold_seeds = first.split.fold_seeds
+    for cfg in arms.values():
+        if len(dataset) < len(fold_seeds) * cfg.batch_size:
+            raise ValueError(
+                f"dataset of {len(dataset)} too small for "
+                f"{len(fold_seeds)} folds at batch size {cfg.batch_size}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(name, cfg, dataset, out_dir / name) for name, cfg in arms.items()]
+    tasks = [(cfg, dataset, out_dir / name / f"fold{k}", fs)
+             for name, cfg in arms.items() for k, fs in enumerate(fold_seeds)]
     if jobs > 1:
         # A worker loads numpy, and with it OpenBLAS's thread count, from this
         # environment. Forked workers would keep this process's BLAS threads
@@ -310,34 +296,41 @@ def ablate(arms: dict, dataset, out_dir, jobs: int = 1) -> dict:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
         try:
             with ProcessPoolExecutor(jobs, mp_context=get_context("spawn")) as pool:
-                results = dict(pool.map(_run_arm, tasks))
+                records = list(pool.map(train, *zip(*tasks)))
         finally:
             if blas_threads is None:
                 del os.environ["OPENBLAS_NUM_THREADS"]
             else:
                 os.environ["OPENBLAS_NUM_THREADS"] = blas_threads
     else:
-        results = dict(map(_run_arm, tasks))
+        records = [train(*task) for task in tasks]
+    n_folds = len(fold_seeds)
+    results = {name: records[i * n_folds:(i + 1) * n_folds]
+               for i, name in enumerate(arms)}
+
+    summary = {}
+    for arm, recs in results.items():
+        means = [r.test_dice_mean for r in recs]
+        summary[arm] = {"mean": float(np.mean(means)), "sd": float(np.std(means)),
+                        "median": float(statistics.median(means))}
+        (out_dir / arm / "cv.json").write_text(json.dumps({
+            "mean": summary[arm]["mean"], "sd": summary[arm]["sd"],
+            "folds": [{"fold_seed": r.fold_seed, "dice": r.test_dice_mean,
+                       "sd": r.test_dice_sd, "best_epoch": r.best_epoch}
+                      for r in recs],
+        }, indent=2, sort_keys=True) + "\n")
+    full_mean = summary["full"]["mean"] if "full" in summary else None
+    for row in summary.values():
+        row["delta_vs_full"] = (row["mean"] - full_mean
+                                if full_mean is not None else None)
 
     with open(out_dir / "comparison.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["arm", "fold", "dice", "sd"])
-        for arm, cv in results.items():
-            for k, rec in enumerate(cv.records):
+        for arm, recs in results.items():
+            for k, rec in enumerate(recs):
                 writer.writerow([arm, k, f"{rec.test_dice_mean:.6f}",
                                  f"{rec.test_dice_sd:.6f}"])
-
-    summary = {}
-    full_mean = results["full"].mean if "full" in results else None
-    for arm, cv in results.items():
-        summary[arm] = {
-            "mean": cv.mean,
-            "sd": cv.sd,
-            "median": float(statistics.median(
-                r.test_dice_mean for r in cv.records)),
-            "delta_vs_full": (cv.mean - full_mean
-                              if full_mean is not None else None),
-        }
     (out_dir / "comparison.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return {"summary": summary, "results": results}
@@ -350,13 +343,14 @@ def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig) -> dict:
     """Re-predict each sample with single words swapped in its report.
 
     For every (src, dst) swap and every sample whose report contains src,
-    records centroid sides before/after, the predicted-area ratio, and the
-    IoU between the two predictions; aggregates flip rate and mean area ratio
-    per swap, as fractions. Each probed sample takes one `_forward_batch`
-    call, one image under the distinct reports its arm reads: on `full` the
-    original and every swap that changes it; on
-    `no_text` and `baseline_unet`, which read no report, the
-    original alone, whose prediction serves every variant. An empty swap
+    records centroid sides before/after (None within 1 px of the axis, see
+    data.centroid_side), the predicted-area ratio, and the IoU between the
+    two predictions; aggregates flip rate, over the entries sided both
+    times, and mean area ratio per swap, as fractions. Each probed sample
+    takes one `_forward_batch` call, one image under the distinct reports
+    its arm reads: on `full` the original and every swap that changes it; on
+    `no_text` and `baseline_unet`, which read no report, the original alone,
+    whose prediction serves every variant. An empty swap
     source word raises ValueError (see swap_word).
     """
     weights = _as_weights(checkpoint, cfg.model, cfg.ablation)

@@ -7,6 +7,7 @@ seeds that produced it, independent of execution order.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -32,6 +33,13 @@ def check_int(name: str, value) -> None:
     is not truncated to one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_float(name: str, value) -> None:
+    """ValueError unless value is a finite real number. A bool is not one."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def check_seed(name: str, value) -> None:

@@ -107,7 +107,7 @@ def test_ablate_on_too_small_a_dataset_exits_1_with_no_echo(data_dir, tmp_path,
             "--override", "train.epochs=1", "--override", "split.fold_seeds=[1,2,3]"]
     assert run(_with_small_model(argv)) == 1
     assert "too small for 3 folds" in _assert_one_error_line(capsys)
-    assert not (out / "invocation.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("overrides", [
@@ -225,6 +225,18 @@ def test_train_with_nonpositive_batch_size_exits_1(batch_size, data_dir, tmp_pat
     ("train", "model.init_seed=-1", "init_seed must lie in [0, 2**64), got -1"),
     ("gen-data", "seed=1.7", "seed must be an integer, got 1.7"),
     ("train", "train.batch_size=true", "batch_size must be an integer, got True"),
+    ("train", "train.lr=true", "lr must be a finite number, got True"),
+    ("train", "train.threshold=NaN", "threshold must be a finite number, got nan"),
+    ("train", "augment.p_hflip=Infinity", "p_hflip must be a finite number, got inf"),
+    ("train", "split.fractions=[true,0,0]",
+     "fractions entry must be a finite number, got True"),
+    ("gen-data", "data.present_fraction=true",
+     "present_fraction must be a finite number, got True"),
+    ("gen-data", "data.ambiguous_fraction=1.5",
+     "ambiguous_fraction must lie in [0,1], got 1.5"),
+    ("gen-data", "data.n=0", "n must be >= 1, got 0"),
+    ("gen-data", "data.image_size=16", "image_size must be >= 32, got 16"),
+    ("train", "split.fold_seeds=[]", "fold_seeds needs at least one seed"),
 ])
 def test_bad_integer_config_value_exits_1(command, override, message, data_dir,
                                           tmp_path, capsys):

@@ -230,12 +230,17 @@ class TestCentroidSide:
         assert centroid_side(np.zeros((4, 6), dtype=np.uint8)) is None
 
     def test_split_is_the_mirror_axis(self):
-        # columns 31, 32, 32 of 64: centroid 31.67, right of the axis 31.5;
-        # the mirror image (columns 32, 31, 31) sits at 31.33, left of it
-        m = np.zeros((4, 64), dtype=np.uint8)
-        m[0, 31] = m[1, 32] = m[2, 32] = 1
-        assert centroid_side(m) == "right"
-        assert centroid_side(m[:, ::-1]) == "left"
+        # column 32 of 64: centroid 0.5 px right of the axis 31.5, no side;
+        # columns 32 and 33: centroid 32.5, exactly 1 px right of it. The
+        # mirror images (columns 31; 31 and 30) read the same distances left.
+        near = np.zeros((4, 64), dtype=np.uint8)
+        near[0, 32] = 1
+        assert centroid_side(near) is None
+        assert centroid_side(near[:, ::-1]) is None
+        one_px = np.zeros((4, 64), dtype=np.uint8)
+        one_px[0, 32] = one_px[1, 33] = 1
+        assert centroid_side(one_px) == "right"
+        assert centroid_side(one_px[:, ::-1]) == "left"
 
     def test_centroid_on_the_axis_is_unsided(self):
         m = np.zeros((4, 64), dtype=np.uint8)

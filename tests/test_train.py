@@ -19,8 +19,8 @@ from ctxseg.diffcore import (AdamWState, adamw_step, backward, bce_with_logits,
 from ctxseg.errors import DataFormatError, ShapeError
 from ctxseg.model import ModelConfig, init_weights, predict_mask
 from ctxseg.train import (ABLATION_ARMS, TrainConfig, _as_weights, _forward_batch,
-                          ablate, attention_dump, cross_validate, evaluate,
-                          paper_arms, train, word_swap_probe)
+                          ablate, attention_dump, evaluate, paper_arms, train,
+                          word_swap_probe)
 
 
 def tiny_train_config(**kwargs):
@@ -334,11 +334,12 @@ class TestCrossValidate:
     def test_fold_count_and_membership(self, tiny_dataset, tmp_path):
         cfg = tiny_train_config(epochs=1, batch_size=2,
                                 split=SplitSpec(fold_seeds=[1, 2, 3, 4, 5]))
-        res = cross_validate(cfg, tiny_dataset, tmp_path)
-        assert len(res.records) == 5
-        assert res.sd >= 0
-        res2 = cross_validate(cfg, tiny_dataset, tmp_path / "again")
-        for a, b in zip(res.records, res2.records):
+        out = ablate({"full": cfg}, tiny_dataset, tmp_path)
+        recs = out["results"]["full"]
+        assert len(recs) == 5
+        assert out["summary"]["full"]["sd"] >= 0
+        again = ablate({"full": cfg}, tiny_dataset, tmp_path / "again")
+        for a, b in zip(recs, again["results"]["full"]):
             assert a.fold_seed == b.fold_seed
             assert a.test_scores == b.test_scores
 
@@ -349,12 +350,12 @@ class TestAblate:
         arms = paper_arms(cfg)
         out = ablate(arms, tiny_dataset, tmp_path)
         assert list(out["summary"]) == list(arms)
-        folds = {arm: [r.fold_seed for r in cv.records]
-                 for arm, cv in out["results"].items()}
+        folds = {arm: [r.fold_seed for r in recs]
+                 for arm, recs in out["results"].items()}
         assert len({tuple(v) for v in folds.values()}) == 1
         # each arm's records echo the config it was given
-        for arm, cv in out["results"].items():
-            assert cv.records[0].config == asdict(arms[arm])
+        for arm, recs in out["results"].items():
+            assert recs[0].config == asdict(arms[arm])
 
     def test_csv_rows(self, tiny_dataset, tmp_path):
         cfg = tiny_train_config(epochs=1)
@@ -394,19 +395,40 @@ class TestAblate:
         assert not tmp_path.joinpath("full").exists()
 
     def test_two_jobs_write_what_one_job_writes(self, tiny_dataset, tmp_path):
-        arms = paper_arms(tiny_train_config(epochs=1))
-        ablate(arms, tiny_dataset, tmp_path / "one")
-        ablate(arms, tiny_dataset, tmp_path / "two", jobs=2)
-        files = sorted(p.relative_to(tmp_path / "one")
-                       for p in (tmp_path / "one").rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(tmp_path / "two")
-                               for p in (tmp_path / "two").rglob("*") if p.is_file())
-        assert len(files) == 2 + 4 * (1 + 2 * 2)   # cv.json, 2 folds of 2 files
-        for rel in files:
-            # a run record names its own checkpoint path
-            one, two = ((tmp_path / d / rel).read_bytes().replace(bytes(tmp_path / d), b"")
-                        for d in ("one", "two"))
-            assert one == two, rel
+        cfg = tiny_train_config(epochs=1)
+        # with one arm, only its two folds can run side by side
+        for case, arms in (("paper", paper_arms(cfg)), ("one_arm", {"full": cfg})):
+            one_dir, two_dir = tmp_path / case / "one", tmp_path / case / "two"
+            ablate(arms, tiny_dataset, one_dir)
+            ablate(arms, tiny_dataset, two_dir, jobs=2)
+            files = sorted(p.relative_to(one_dir)
+                           for p in one_dir.rglob("*") if p.is_file())
+            assert files == sorted(p.relative_to(two_dir)
+                                   for p in two_dir.rglob("*") if p.is_file())
+            # comparison.csv and .json; per arm cv.json and 2 folds of 2 files
+            assert len(files) == 2 + len(arms) * (1 + 2 * 2)
+            for rel in files:
+                # a run record names its own checkpoint path
+                one, two = ((d / rel).read_bytes().replace(bytes(d), b"")
+                            for d in (one_dir, two_dir))
+                assert one == two, (case, rel)
+
+    def test_too_small_for_any_arm_raises_before_training(self, tiny_dataset,
+                                                           tmp_path):
+        # 16 samples hold 3 folds at batch size 4 but not at batch size 8
+        cfg = tiny_train_config(epochs=1, split=SplitSpec(fold_seeds=[11, 12, 13]))
+        with pytest.raises(ValueError, match="dataset of 16 too small for 3 folds "
+                                             "at batch size 8"):
+            ablate({"full": cfg, "big": replace(cfg, batch_size=8)}, tiny_dataset,
+                   tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_nonpositive_jobs_raise(self, tiny_dataset, tmp_path, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            ablate({"full": tiny_train_config(epochs=1)}, tiny_dataset,
+                   tmp_path / "out", jobs=jobs)
+        assert not (tmp_path / "out").exists()
 
 
 class TestWordSwapProbe:
