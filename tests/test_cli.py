@@ -156,10 +156,13 @@ def test_train_with_an_empty_split_part_exits_1(fractions, part, data_dir, tmp_p
 
 
 def test_import_loads_no_scipy():
+    # only `ablate` needs csv and, at jobs > 1, the process pool: it imports
+    # them itself, so every other command skips their memory
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = ("import sys, ctxseg.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'multiprocessing', 'concurrent', 'csv')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
@@ -227,6 +230,8 @@ def test_train_with_nonpositive_batch_size_exits_1(batch_size, data_dir, tmp_pat
     ("train", "train.batch_size=true", "batch_size must be an integer, got True"),
     ("train", "train.lr=true", "lr must be a finite number, got True"),
     ("train", "train.threshold=NaN", "threshold must be a finite number, got nan"),
+    ("train", "train.threshold=0", "threshold must lie in (0, 1), got 0"),
+    ("train", "train.threshold=1", "threshold must lie in (0, 1), got 1"),
     ("train", "augment.p_hflip=Infinity", "p_hflip must be a finite number, got inf"),
     ("train", "split.fractions=[true,0,0]",
      "fractions entry must be a finite number, got True"),

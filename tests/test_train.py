@@ -138,6 +138,15 @@ class TestEvaluate:
                                  r"model config expects \(12, 4, 3, 3\)"):
             evaluate(str(ckpt), tiny_dataset[:2], wide)
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 2.0])
+    def test_threshold_outside_the_unit_interval_rejected(self, tiny_dataset,
+                                                          maxpool2_batches,
+                                                          threshold):
+        # at 0 every pixel is marked and at 1 none is: a constant mask
+        cfg = tiny_train_config()
+        with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\)"):
+            evaluate(init_weights(cfg.model), tiny_dataset[:2], cfg, threshold)
+        assert maxpool2_batches == []
 
     @pytest.mark.parametrize("arm", ["full", "no_text", "baseline_unet"])
     def test_scores_do_not_depend_on_batch_size(self, tiny_dataset, arm):
@@ -516,6 +525,15 @@ class TestWordSwapProbe:
         rep = word_swap_probe(w, [sample], swaps, cfg)
         assert [agg["samples"] for agg in rep["swaps"].values()] == [1, 1]
         assert maxpool2_batches == [1] * cfg.model.depth
+
+    def test_repeated_swap_rejected_before_any_forward(self, tiny_dataset,
+                                                       maxpool2_batches):
+        # listed twice, each entry of the swap would be counted twice
+        cfg = tiny_train_config()
+        swaps = [("left", "right"), ("right", "left"), ("left", "right")]
+        with pytest.raises(ValueError, match="'left->right' is listed twice"):
+            word_swap_probe(init_weights(cfg.model), tiny_dataset, swaps, cfg)
+        assert maxpool2_batches == []
 
     def test_empty_target_word_deletes_the_word(self, tiny_dataset):
         cfg = tiny_train_config()
