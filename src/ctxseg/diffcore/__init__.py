@@ -1,5 +1,5 @@
 from .tensor import DiffTensor, backward, set_verify
-from .ops import (add_rowvec, attention_gate, bce_with_logits, conv2d,
+from .ops import (attention_gate, bce_with_logits, conv2d,
                   conv_bn_relu, matmul, maxpool2, mean_all, mul, scale,
                   sigmoid_np, sum_all, upconv2)
 from .optim import AdamWState, adamw_step, zero_grads
@@ -7,7 +7,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "DiffTensor", "backward", "set_verify",
-    "add_rowvec", "attention_gate", "bce_with_logits", "conv2d",
+    "attention_gate", "bce_with_logits", "conv2d",
     "conv_bn_relu", "matmul", "maxpool2", "mean_all", "mul", "scale",
     "sigmoid_np", "sum_all", "upconv2",
     "AdamWState", "adamw_step", "zero_grads",

@@ -4,18 +4,18 @@ Everything operates on DiffTensor and returns DiffTensor. The two
 convolutions share one core, `_conv`: it flattens the padded NCHW input to
 (N, C, Hp*Wp), where each kernel tap (di, dj) reads the same contiguous run
 shifted by di*Wp + dj, so forward and backward are one BLAS matmul per tap
-and nothing the size of a column matrix is built. The first tap's matmul
-writes straight into the output and the other taps go through one reused
-scratch buffer. The graph holds no padded copy: the backward pads the input
-again from the arrays its producers hold, and that buffer then accumulates
-the input gradient. `conv2d` is that conv alone. `conv_bn_relu` is conv ->
-batch norm -> ReLU as one graph node: batch norm normalizes the conv's
-output in place, and the backward works in place on one masked copy of the
-output gradient, which it hands straight to the conv's. `attention_gate` is
-the pixel side of the text gate as one node, computed channel-major,
-(N, C, H*W) queries against (N, L, H*W) logits, so nothing is transposed
-and its softmax reduces across token rows; its backward recomputes the
-projected queries rather than holding them.
+and nothing the size of a column matrix is built. One tap sum, `_tap_sum`,
+serves the forward and the input gradient, a gather of the zero-led output
+gradient at each tap's negated shift. The graph holds no padded copy: the
+weight gradient pads the input again from the arrays its producers hold.
+`conv2d` is that conv alone. `conv_bn_relu` is conv -> batch norm -> ReLU
+as one graph node: batch norm normalizes the conv's output in place, and the
+backward works in place on one masked copy of the output gradient, which it
+hands straight to the conv's. `matmul` adds an optional bias row, so a
+projection is one node. `attention_gate` is the pixel side of the text gate
+as one node, computed channel-major, (N, C, H*W) queries against (N, L, H*W)
+logits, so nothing is transposed and its softmax reduces across token rows;
+its backward recomputes the projected queries rather than holding them.
 
 The in-place paths and the recomputed values do the same arithmetic in the
 same order as allocating and keeping a fresh array for every intermediate,
@@ -58,19 +58,6 @@ def scale(a: DiffTensor, s: float) -> DiffTensor:
     return out
 
 
-def add_rowvec(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    """a (..., m, n) + b (n,) broadcast over every row; both differentiable."""
-    if a.data.ndim < 2 or b.data.shape != (a.data.shape[-1],):
-        raise ShapeError(f"add_rowvec: {a.data.shape} vs {b.data.shape}")
-
-    def back():
-        a.accum_grad(out.grad)
-        b.accum_grad(out.grad.reshape(-1, b.data.size).sum(axis=0))
-
-    out = DiffTensor._node(a.data + b.data, (a, b), back)
-    return out
-
-
 def sum_all(a: DiffTensor) -> DiffTensor:
     def back():
         a.accum_grad(np.broadcast_to(out.grad, a.data.shape))
@@ -96,10 +83,13 @@ def sigmoid_np(z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    """(..., m, k) @ (k, n): a matrix, or a stack of matrices that share `b`.
+def matmul(a: DiffTensor, b: DiffTensor, bias: DiffTensor | None = None
+           ) -> DiffTensor:
+    """(..., m, k) @ (k, n): a matrix, or a stack of matrices that share `b`,
+    plus the (n,) row `bias` on every row when one is given.
 
-    `b`'s gradient is one GEMM over all rows of `a` flattened together.
+    `b`'s gradient is one GEMM over all rows of `a` flattened together, and
+    `bias`'s the column sums of the output gradient over those rows.
     """
     sa, sb = a.data.shape, b.data.shape
     if len(sa) < 2 or len(sb) != 2:
@@ -107,15 +97,23 @@ def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
                          f"one matrix, got {sa} and {sb}")
     if sa[-1] != sb[0]:
         raise ShapeError(f"matmul: inner dimensions disagree, {sa} @ {sb}")
+    if bias is not None and bias.data.shape != sb[1:]:
+        raise ShapeError(f"matmul: bias {bias.data.shape} for {sb[1]} columns")
+    y = a.data @ b.data
+    if bias is not None:
+        y += bias.data
 
     def back():
         g = out.grad
+        if bias is not None:
+            bias.accum_grad(g.reshape(-1, sb[1]).sum(axis=0))
         if a.requires_grad:
             a.accum_grad(g @ b.data.T)
         if b.requires_grad:
             b.accum_grad(a.data.reshape(-1, sa[-1]).T @ g.reshape(-1, sb[1]))
 
-    out = DiffTensor._node(a.data @ b.data, (a, b), back)
+    inputs = (a, b) if bias is None else (a, b, bias)
+    out = DiffTensor._node(y, inputs, back)
     return out
 
 
@@ -202,6 +200,20 @@ def _tap_gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         np.matmul(a, b, out=out)
 
 
+def _tap_sum(mats, src: np.ndarray, starts, out: np.ndarray) -> None:
+    """out = sum over the taps t, in order, of mats[t] @ src[:, :, s:s + L]
+    for s = starts[t] and L = out's last extent. The first tap's GEMM writes
+    `out` and every later tap adds through one scratch buffer, the same sums
+    in the same order as adding each tap to a zeroed `out`."""
+    length = out.shape[-1]
+    _tap_gemm(mats[0], src[:, :, starts[0]:starts[0] + length], out)
+    if len(starts) > 1:
+        scratch = np.empty(out.shape, dtype=out.dtype)
+        for m, s in zip(mats[1:], starts[1:]):
+            _tap_gemm(m, src[:, :, s:s + length], scratch)
+            out += scratch
+
+
 def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str,
           skip: DiffTensor | None = None):
     """Stride-1 cross-correlation of NCHW `x` with an odd k x k OIHW kernel,
@@ -212,15 +224,16 @@ def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str,
     and bias for output gradient g, and is None when none of them needs one.
     Runs one GEMM per kernel tap on the padded input flattened to (N, Cin,
     Hp*Wp): output position p on the padded-width grid reads tap (di, dj) at
-    flat index p + di*Wp + dj, so each tap is a contiguous slice. The first
-    tap's GEMM writes the output itself and every later tap goes through one
-    scratch buffer, the same sums in the same order as adding each tap to a
-    zeroed output. The padded input is dropped once the forward taps have
-    run, so `back` holds only the tap-major kernel: it pads x.data and
-    skip.data again, runs the weight-gradient taps on that buffer and then
-    reuses it as the input-gradient accumulator. With nothing to pad or
-    append (the 1x1 head) the flat input is x.data itself, which is only
-    read. `op` names the caller in errors.
+    flat index p + di*Wp + dj, so each tap is a contiguous slice, and
+    `_tap_sum` adds the taps. The input gradient is the same tap sum run
+    backwards, a gather: the output gradient sits on the padded-width grid
+    behind (k-1)(Wp+1) zeros, and input position q reads tap (di, dj) at
+    q - di*Wp - dj; a tap that falls off the output adds exact zeros. The
+    padded input is dropped once the forward taps have run, so `back` holds
+    only the tap-major kernel: it pads x.data and skip.data again for the
+    weight-gradient taps and frees that buffer before the input gradient's.
+    With nothing to pad or append (the 1x1 head) the flat input is x.data
+    itself. `op` names the caller in errors.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"{op} input must be NCHW, got {x.data.shape}")
@@ -241,12 +254,11 @@ def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str,
         raise ShapeError(f"{op}: bias shape {bias.data.shape} != ({cout},)")
     k, pad = kh, kh // 2
     hp, wp = h + 2 * pad, w + 2 * pad
-    padded = bool(pad) or skip is not None
 
     def flat_input():
         # (n, cin, hp*wp): x and skip zero-padded side by side into a fresh
         # buffer, or x.data itself when there is nothing to pad or append
-        if not padded:
+        if not pad and skip is None:
             return x.data.reshape(n, cin, hp * wp)
         xp = np.zeros((n, cin, hp, wp), dtype=x.data.dtype)
         xp[:, :cx, pad:pad + h, pad:pad + w] = x.data
@@ -258,46 +270,36 @@ def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str,
     # h output rows on the padded-width grid; the last k-1 columns of each
     # row wrap into the next row and are never kept.
     span = h * wp - (k - 1)
-    taps = [(di, dj, di * wp + dj) for di in range(k) for dj in range(k)]
-    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))   # (k, k, cout, cin)
+    offs = [di * wp + dj for di in range(k) for dj in range(k)]
+    # tap-major kernel (k*k, cout, cin), taps in row-major order
+    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))
+    wt = wt.reshape(k * k, cout, cin)
     dtype = xf.dtype
     yd = np.empty((n, cout, h * wp), dtype=dtype)
-    ys = yd[:, :, :span]
-    _tap_gemm(wt[0, 0], xf[:, :, :span], ys)
-    if k > 1:
-        scratch = np.empty((n, cout, span), dtype=dtype)
-        for di, dj, off in taps[1:]:
-            _tap_gemm(wt[di, dj], xf[:, :, off:off + span], scratch)
-            ys += scratch
+    _tap_sum(wt, xf, offs, yd[:, :, :span])
     y = yd.reshape(n, cout, h, wp)[:, :, :, :w] + bias.data[None, :, None, None]
     input_grad = x.requires_grad or (skip is not None and skip.requires_grad)
     if not (input_grad or weight.requires_grad or bias.requires_grad):
         return y, None
+    lead = offs[-1]                                 # (k-1)(wp+1)
 
     def back(g):
         bias.accum_grad(g.sum(axis=(0, 2, 3)))
-        gd = np.zeros((n, cout, h, wp), dtype=dtype)
-        gd[:, :, :, :w] = g
-        ga = gd.reshape(n, cout, h * wp)[:, :, :span]
+        gd = np.zeros((n, cout, lead + hp * wp), dtype=dtype)
+        gd[:, :, lead:lead + h * wp].reshape(n, cout, h, wp)[:, :, :, :w] = g
+        ga = gd[:, :, lead:lead + span]
         xf = flat_input()
         gw = np.empty_like(wt)
         gw_items = np.empty((n, cout, cin), dtype=dtype)
-        for di, dj, off in taps:
+        for gw_t, off in zip(gw, offs):
             np.matmul(ga, xf[:, :, off:off + span].transpose(0, 2, 1), out=gw_items)
-            gw_items.sum(axis=0, out=gw[di, dj])
-        weight.accum_grad(gw.transpose(2, 3, 0, 1))
+            gw_items.sum(axis=0, out=gw_t)
+        weight.accum_grad(gw.reshape(k, k, cout, cin).transpose(2, 3, 0, 1))
         if not input_grad:
             return
-        # the rebuilt input is this call's own buffer, so it becomes the
-        # input-gradient accumulator; x.data (nothing padded) is never written
-        gxf = xf if padded else np.empty_like(xf)
-        gxf[:, :, span:] = 0
-        _tap_gemm(wt[0, 0].T, ga, gxf[:, :, :span])
-        if k > 1:
-            scratch = np.empty((n, cin, span), dtype=dtype)
-            for di, dj, off in taps[1:]:
-                _tap_gemm(wt[di, dj].T, ga, scratch)
-                gxf[:, :, off:off + span] += scratch
+        del xf
+        gxf = np.empty((n, cin, hp * wp), dtype=dtype)
+        _tap_sum(wt.transpose(0, 2, 1), gd, [lead - off for off in offs], gxf)
         gx = gxf.reshape(n, cin, hp, wp)[:, :, pad:pad + h, pad:pad + w]
         x.accum_grad(gx[:, :cx])
         if skip is not None:

@@ -150,13 +150,13 @@ def cross_attention(q_feat: DiffTensor, embs: list, weights: dict, level: int,
     `embs` holds one (l, d_e) token matrix from textenc.embed per item of Q
     (n, c, h, w); the gate reads its weights by name, `xattn{level}.tproj.w`
     and the like. The matrices are stacked to E (n, l, d_e) and projected to
-    T = E Wt + bt, keys T Wk + bk and values T Wv + bv, all (n, l, c). One
-    `attention_gate` node lets every pixel of Q attend over all l of its own
-    item's tokens, padding included (scaled dot product, softmax across the
-    l tokens), and squashes the value mix through tanh; the gate then
-    multiplies Q elementwise. `capture` receives the input, tanh gate and
-    output maps of every item, as (n, c, h, w) arrays under "q", "tanh_a"
-    and "qstar".
+    T = E Wt + bt, keys T Wk + bk and values T Wv + bv, all (n, l, c), each
+    one `matmul` with its bias. One `attention_gate` node lets every pixel of
+    Q attend over all l of its own item's tokens, padding included (scaled
+    dot product, softmax across the l tokens), and squashes the value mix
+    through tanh; the gate then multiplies Q elementwise. `capture` receives
+    the input, tanh gate and output maps of every item, as (n, c, h, w)
+    arrays under "q", "tanh_a" and "qstar".
     """
     n, c, h, w = q_feat.data.shape
     if len(embs) != n:
@@ -169,9 +169,9 @@ def cross_attention(q_feat: DiffTensor, embs: list, weights: dict, level: int,
             f"text projection is {tproj_w.data.shape}, needs ({d_e}, {c})")
 
     e = DiffTensor(np.stack(embs))                          # frozen: no grad path
-    t = dc.add_rowvec(dc.matmul(e, tproj_w), weights[f"{p}.tproj.b"])
-    keys = dc.add_rowvec(dc.matmul(t, weights[f"{p}.wk.w"]), weights[f"{p}.wk.b"])
-    values = dc.add_rowvec(dc.matmul(t, weights[f"{p}.wv.w"]), weights[f"{p}.wv.b"])
+    t = dc.matmul(e, tproj_w, weights[f"{p}.tproj.b"])
+    keys = dc.matmul(t, weights[f"{p}.wk.w"], weights[f"{p}.wk.b"])
+    values = dc.matmul(t, weights[f"{p}.wv.w"], weights[f"{p}.wv.b"])
     gate = dc.attention_gate(q_feat, weights[f"{p}.wq.w"], weights[f"{p}.wq.b"],
                              keys, values)
     out = dc.mul(gate, q_feat)

@@ -1,16 +1,16 @@
 """Frozen report embeddings.
 
-A report string becomes a fixed-length matrix of per-token vectors that the
-decoder's cross-attention consumes as keys and values. The embedder is a
-frozen deterministic stand-in for a pretrained language encoder: each token id
-maps to a unit-norm vector drawn from a counter-based generator keyed by
-(seed, id), so embeddings never train and never change between runs.
+A report string becomes a fixed-length list of token ids, padded with
+PAD_ID, and that list a matrix of per-token vectors that the decoder's
+cross-attention consumes as keys and values. The embedder is a frozen
+deterministic stand-in for a pretrained language encoder: each token id maps
+to a unit-norm vector drawn from a counter-based generator keyed by (seed,
+id), so embeddings never train and never change between runs.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,14 +20,6 @@ from .util import fnv1a_str
 PAD_ID = 0
 VOCAB_MODULUS = 2 ** 20
 _PUNCT = set(string.punctuation)
-
-
-@dataclass
-class Report:
-    text: str
-    tokens: list
-    ids: list
-    valid_len: int
 
 
 def _split_punct(word: str):
@@ -56,18 +48,16 @@ def token_id(token: str) -> int:
     return tid if tid else 1
 
 
-def tokenize(text: str, max_tokens: int) -> Report:
-    """Lowercase, split on whitespace and punctuation, truncate, pad."""
+def tokenize(text: str, max_tokens: int) -> list:
+    """The max_tokens token ids of `text`: lowercased, split on whitespace
+    and punctuation, truncated, then padded with PAD_ID."""
     if max_tokens < 1:
         raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
     tokens = []
     for word in text.lower().split():
         tokens.extend(_split_punct(word))
-    tokens = tokens[:max_tokens]
-    ids = [token_id(t) for t in tokens]
-    valid = len(tokens)
-    ids.extend([PAD_ID] * (max_tokens - valid))
-    return Report(text=text, tokens=tokens, ids=ids, valid_len=valid)
+    ids = [token_id(t) for t in tokens[:max_tokens]]
+    return ids + [PAD_ID] * (max_tokens - len(ids))
 
 
 @lru_cache(maxsize=65536)
@@ -80,9 +70,9 @@ def _row(seed: int, tid: int, d_e: int) -> np.ndarray:
     return row
 
 
-def embed(report: Report, d_e: int, seed: int) -> np.ndarray:
-    """The (max_tokens, d_e) float32 matrix of the frozen unit-norm row of
+def embed(ids: list, d_e: int, seed: int) -> np.ndarray:
+    """The (len(ids), d_e) float32 matrix of the frozen unit-norm row of
     each token id, padding included."""
     if d_e < 1:
         raise ValueError(f"d_e must be >= 1, got {d_e}")
-    return np.stack([_row(seed, tid, d_e) for tid in report.ids])
+    return np.stack([_row(seed, tid, d_e) for tid in ids])

@@ -268,8 +268,9 @@ def ablate(arms: dict, dataset, out_dir, jobs: int = 1) -> dict:
     """Train each {name: TrainConfig} of `arms` on every fold seed, into
     out_dir/<name>/fold<k>, and compare the arms over the folds.
 
-    The arms must share `split` and `seed`, so the comparison stays paired,
-    and the dataset must hold (folds x batch size) samples for every arm.
+    There must be at least one arm. The arms must share `split` and `seed`,
+    so the comparison stays paired, and the dataset must hold (folds x batch
+    size) samples for every arm.
     These rules and jobs >= 1 are checked before any directory is made or
     any fold trains (ValueError). jobs > 1 trains the (arm, fold) runs in
     spawned workers with one BLAS thread each; they import the calling
@@ -290,6 +291,8 @@ def ablate(arms: dict, dataset, out_dir, jobs: int = 1) -> dict:
     import statistics
     if jobs < 1:
         raise ValueError(f"ablate: jobs must be >= 1, got {jobs}")
+    if not arms:
+        raise ValueError("ablate: the arm set is empty; give at least one arm")
     first = next(iter(arms.values()))
     if any((c.split, c.seed) != (first.split, first.seed) for c in arms.values()):
         raise ValueError("ablate: the arms must share split and seed")

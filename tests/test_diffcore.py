@@ -526,8 +526,8 @@ def _forward_backward(op, arrays, frozen=()):
     """op over float32 tensors of `arrays` (a name -> array dict, in the op's
     argument order; names in `frozen` need no gradient), then backward
     through proj_loss. Asserts that neither pass changed an input array: the
-    conv's backward pads its input again into a buffer of its own and
-    accumulates the input gradient there, never in x.data or skip.data.
+    conv's backward pads its input again into a buffer of its own and never
+    writes into x.data or skip.data.
     Returns the output and every tensor's gradient."""
     ts = {k: DiffTensor(a, requires_grad=k not in frozen) for k, a in arrays.items()}
     before = {k: t.data.copy() for k, t in ts.items()}
@@ -561,28 +561,31 @@ class TestBitwiseAgainstReferences:
     @pytest.mark.parametrize("case", sorted(SUBLAYERS))
     def test_conv_bn_relu(self, rng, case, train, batch):
         cx, cskip, x_learns = SUBLAYERS[case]
-        cout, hw = 5, (6, 9)
-        arrays = {"x": rng.standard_normal((batch, cx, *hw)),
-                  "weight": rng.standard_normal((cout, cx + cskip, 3, 3)),
-                  "bias": rng.standard_normal(cout),
-                  "gamma": rng.uniform(0.5, 1.5, cout),
-                  "beta": rng.standard_normal(cout)}
-        skip = rng.standard_normal((batch, cskip, *hw)) if cskip else None
-        stats = (0.5 * rng.standard_normal(cout), rng.uniform(0.5, 2.0, cout))
-        runs = []
-        for op in (dc.conv_bn_relu, conv_bn_relu_reference):
-            running = [DiffTensor(a) for a in stats]
-            inputs = dict(arrays, skip=skip) if cskip else arrays
-            out, grads = _forward_backward(
-                lambda *ts: op(*ts[:5], *running, train, *ts[5:]),
-                inputs, frozen=() if x_learns else ("x",))
-            runs.append(((out, grads), running))
-        (got, running), (want, running_ref) = runs
-        _assert_bitwise(got, want)
-        for t, t_ref, start in zip(running, running_ref, stats):
-            np.testing.assert_array_equal(t.data, t_ref.data)
-            if not train:
-                np.testing.assert_array_equal(t.data, start.astype(np.float32))
+        cout = 5
+        # at 1x5 the input gradient's lead of (k-1)(Wp+1) = 16 zeros is
+        # longer than the 7-position output grid it sits in front of
+        for hw in ((6, 9), (1, 5)):
+            arrays = {"x": rng.standard_normal((batch, cx, *hw)),
+                      "weight": rng.standard_normal((cout, cx + cskip, 3, 3)),
+                      "bias": rng.standard_normal(cout),
+                      "gamma": rng.uniform(0.5, 1.5, cout),
+                      "beta": rng.standard_normal(cout)}
+            skip = rng.standard_normal((batch, cskip, *hw)) if cskip else None
+            stats = (0.5 * rng.standard_normal(cout), rng.uniform(0.5, 2.0, cout))
+            runs = []
+            for op in (dc.conv_bn_relu, conv_bn_relu_reference):
+                running = [DiffTensor(a) for a in stats]
+                inputs = dict(arrays, skip=skip) if cskip else arrays
+                out, grads = _forward_backward(
+                    lambda *ts: op(*ts[:5], *running, train, *ts[5:]),
+                    inputs, frozen=() if x_learns else ("x",))
+                runs.append(((out, grads), running))
+            (got, running), (want, running_ref) = runs
+            _assert_bitwise(got, want)
+            for t, t_ref, start in zip(running, running_ref, stats):
+                np.testing.assert_array_equal(t.data, t_ref.data)
+                if not train:
+                    np.testing.assert_array_equal(t.data, start.astype(np.float32))
 
     @pytest.mark.parametrize("batch", [1, 4])
     def test_conv2d_head(self, rng, batch):
@@ -747,25 +750,36 @@ class TestMatmul:
         with pytest.raises(ShapeError, match="one matrix"):
             dc.matmul(z(3), z(3, 2))
 
-    # add_rowvec, the other op of a token projection
+    # the bias row of a token projection
 
-    def test_add_rowvec_stack(self, verify64, rng):
+    def test_bias_stack(self, verify64, rng):
         a = rng.standard_normal((3, 4, 5))
-        b = rng.standard_normal(5)
-        got = dc.add_rowvec(DiffTensor(a), DiffTensor(b)).data
+        bias = rng.standard_normal(5)
+        # times the identity, every row of a gets the bias row added exactly
+        got = dc.matmul(DiffTensor(a), DiffTensor(np.eye(5)), DiffTensor(bias)).data
         for i in range(3):
             for r in range(4):
-                np.testing.assert_array_equal(got[i, r], a[i, r] + b)
+                np.testing.assert_array_equal(got[i, r], a[i, r] + bias)
+        b = rng.standard_normal((5, 5))
+        # the product first, then the bias: the order of matmul then add
+        np.testing.assert_array_equal(
+            dc.matmul(DiffTensor(a), DiffTensor(b), DiffTensor(bias)).data, a @ b + bias)
         params = {"a": DiffTensor(a, requires_grad=True),
-                  "b": DiffTensor(b, requires_grad=True)}
-        grad_check(lambda: proj_loss(dc.add_rowvec(params["a"], params["b"])),
-                   params, num_coords=65)
+                  "b": DiffTensor(b, requires_grad=True),
+                  "bias": DiffTensor(bias, requires_grad=True)}
+        grad_check(lambda: proj_loss(dc.matmul(*params.values())), params,
+                   num_coords=90)
 
-    def test_add_rowvec_shape_errors(self):
-        with pytest.raises(ShapeError, match="add_rowvec"):
-            dc.add_rowvec(DiffTensor(np.zeros((3, 4, 5))), DiffTensor(np.zeros(4)))
-        with pytest.raises(ShapeError, match="add_rowvec"):
-            dc.add_rowvec(DiffTensor(np.zeros(5)), DiffTensor(np.zeros(5)))
+    def test_bias_shape_errors(self):
+        with pytest.raises(ShapeError, match="bias"):
+            dc.matmul(DiffTensor(np.zeros((3, 4, 5))), DiffTensor(np.zeros((5, 5))),
+                      DiffTensor(np.zeros(4)))
+        with pytest.raises(ShapeError, match="bias"):
+            dc.matmul(DiffTensor(np.zeros((3, 4, 5))), DiffTensor(np.zeros((5, 5))),
+                      DiffTensor(np.zeros((1, 5))))
+        with pytest.raises(ShapeError, match="one matrix"):
+            dc.matmul(DiffTensor(np.zeros(5)), DiffTensor(np.zeros((5, 5))),
+                      DiffTensor(np.zeros(5)))
 
 
 # ---------------------------------------------------------------------------
@@ -1039,10 +1053,10 @@ def _const(*shape):
 CONSTANT_INPUT_OPS = {
     "mul": lambda: dc.mul(_const(2, 3), _const(2, 3)),
     "scale": lambda: dc.scale(_const(2, 3), 2.0),
-    "add_rowvec": lambda: dc.add_rowvec(_const(2, 3), _const(3)),
     "sum_all": lambda: dc.sum_all(_const(2, 3)),
     "mean_all": lambda: dc.mean_all(_const(2, 3)),
     "matmul": lambda: dc.matmul(_const(2, 3), _const(3, 4)),
+    "matmul_bias": lambda: dc.matmul(_const(2, 3), _const(3, 3), _const(3)),
     "attention_gate": lambda: dc.attention_gate(
         _const(2, 3, 2, 2), _const(3, 3), _const(3), _const(2, 4, 3), _const(2, 4, 3)),
     "conv2d": lambda: dc.conv2d(_const(1, 2, 4, 4), _const(3, 2, 3, 3), _const(3)),

@@ -335,6 +335,25 @@ class TestForwardPasses:
         with pytest.raises(ShapeError, match="embeddings"):
             text_gated_forward(img, [make_emb()] * 2, w, cfg)
 
+    # One node per conv sublayer, pool, up-conv and the head: 21 at the
+    # default depth of 3. Each gated level adds five: the text, key and value
+    # projections (each a matmul with its bias), the gate and its product.
+    @pytest.mark.parametrize("with_attention, nodes", [(True, 36), (False, 21)],
+                             ids=["full", "baseline_unet"])
+    def test_graph_node_count(self, rng, with_attention, nodes):
+        cfg = ModelConfig()
+        w = init_weights(cfg, with_attention)
+        img = rng.random((2, 1, 16, 16)).astype(np.float32)
+        logits = (text_gated_forward(img, [make_emb(cfg=cfg)] * 2, w, cfg, train=True)
+                  if with_attention else unet_forward(img, w, cfg, train=True))
+        seen, todo = set(), [logits]
+        while todo:
+            t = todo.pop()
+            if t._parents and id(t) not in seen:
+                seen.add(id(t))
+                todo.extend(t._parents)
+        assert len(seen) == nodes
+
 
 def no_grad(weights: dict) -> dict:
     return {name: DiffTensor(t.data) for name, t in weights.items()}

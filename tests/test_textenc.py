@@ -7,26 +7,24 @@ from hypothesis import strategies as st
 from ctxseg.textenc import PAD_ID, VOCAB_MODULUS, embed, token_id, tokenize
 
 
+def _ids(*tokens):
+    return [token_id(t) for t in tokens]
+
+
 class TestTokenize:
     def test_punctuation_splits(self):
-        rep = tokenize("Large left pneumothorax.", max_tokens=8)
-        assert rep.tokens == ["large", "left", "pneumothorax", "."]
-        assert rep.valid_len == 4
-        assert rep.ids[4:] == [PAD_ID] * 4
+        assert tokenize("Large left pneumothorax.", max_tokens=8) == (
+            _ids("large", "left", "pneumothorax", ".") + [PAD_ID] * 4)
 
     def test_empty_text(self):
-        rep = tokenize("", max_tokens=5)
-        assert rep.valid_len == 0
-        assert rep.ids == [PAD_ID] * 5
+        assert tokenize("", max_tokens=5) == [PAD_ID] * 5
 
     def test_repeated_token_same_id(self):
-        rep = tokenize("Left left", max_tokens=4)
-        assert rep.ids[0] == rep.ids[1]
+        ids = tokenize("Left left", max_tokens=4)
+        assert ids[0] == ids[1]
 
     def test_truncation(self):
-        rep = tokenize("a b c d e f", max_tokens=3)
-        assert rep.tokens == ["a", "b", "c"]
-        assert rep.valid_len == 3
+        assert tokenize("a b c d e f", max_tokens=3) == _ids("a", "b", "c")
 
     def test_ids_never_collide_with_pad(self):
         words = "the of and a to in is was on for pneumothorax left right".split()
@@ -36,33 +34,34 @@ class TestTokenize:
     @settings(max_examples=200, deadline=None)
     def test_tokenize_is_pure_and_padded(self, text, max_tokens):
         a = tokenize(text, max_tokens)
-        b = tokenize(text, max_tokens)
-        assert a.ids == b.ids and a.tokens == b.tokens
-        assert len(a.ids) == max_tokens
-        assert a.valid_len <= max_tokens
+        assert a == tokenize(text, max_tokens)
+        assert len(a) == max_tokens
+        # real tokens first, then only padding
+        valid = sum(tid != PAD_ID for tid in a)
+        assert a[valid:] == [PAD_ID] * (max_tokens - valid)
 
 
 class TestEmbed:
     def test_same_token_same_row(self):
-        rep = tokenize("left apical left", max_tokens=4)
-        emb = embed(rep, d_e=16, seed=3)
+        ids = tokenize("left apical left", max_tokens=4)
+        emb = embed(ids, d_e=16, seed=3)
         np.testing.assert_array_equal(emb[0], emb[2])
 
     def test_bitwise_reproducible(self):
-        rep = tokenize("no pleural effusion.", max_tokens=8)
-        a = embed(rep, d_e=32, seed=11)
-        b = embed(rep, d_e=32, seed=11)
+        ids = tokenize("no pleural effusion.", max_tokens=8)
+        a = embed(ids, d_e=32, seed=11)
+        b = embed(ids, d_e=32, seed=11)
         assert a.tobytes() == b.tobytes()
 
     def test_seed_changes_rows(self):
-        rep = tokenize("pneumothorax", max_tokens=2)
-        a = embed(rep, d_e=32, seed=1)
-        b = embed(rep, d_e=32, seed=2)
+        ids = tokenize("pneumothorax", max_tokens=2)
+        a = embed(ids, d_e=32, seed=1)
+        b = embed(ids, d_e=32, seed=2)
         assert not np.array_equal(a, b)
 
     def test_rows_unit_norm(self):
-        rep = tokenize("there is a small right basal pneumothorax.", max_tokens=16)
-        emb = embed(rep, d_e=24, seed=0)
+        ids = tokenize("there is a small right basal pneumothorax.", max_tokens=16)
+        emb = embed(ids, d_e=24, seed=0)
         assert emb.shape == (16, 24) and emb.dtype == np.float32
         np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0,
                                    atol=1e-6)

@@ -439,6 +439,11 @@ class TestAblate:
                    tmp_path / "out", jobs=jobs)
         assert not (tmp_path / "out").exists()
 
+    def test_no_arms_raises_before_any_directory(self, tiny_dataset, tmp_path):
+        with pytest.raises(ValueError, match="arm set is empty"):
+            ablate({}, tiny_dataset, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
 
 class TestWordSwapProbe:
     def test_noop_swap_bit_exact(self, tiny_dataset, tmp_path):
