@@ -84,6 +84,8 @@ class AugmentPolicy:
             check_float(name, v)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0,1], got {v}")
+        if not isinstance(self.text_shuffle, bool):
+            raise ValueError(f"text_shuffle must be a bool, got {self.text_shuffle!r}")
 
 
 def hflip(sample: Sample) -> Sample:

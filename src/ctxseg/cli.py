@@ -6,10 +6,14 @@ level seed; an empty or missing file means all defaults. Dotted --override
 keys (repeatable) are applied last. --override is the one way to set the seed
 and the sample count: `--override seed=3`, `--override data.n=16`. `ablate`
 trains the four arms of train.paper_arms on every fold seed, `--jobs` of
-those (arm, fold) runs at a time. Every artifact-producing run that
-succeeds writes `invocation.json`, the config sections its command reads
-plus a top-level "command" name that loading skips, so
-`--config run/invocation.json` repeats the run.
+those (arm, fold) runs at a time.
+
+Every command takes one path through `run`: load the config once; for the
+commands that take --data, read the dataset once, from --data or else
+data.dir; run the command; and, only when it returned and --out is set,
+write `invocation.json` there. That echo holds the config sections the
+command reads, the dataset directory it read, and a top-level "command" name
+that loading skips, so `--config run/invocation.json` repeats the run.
 
 Exit codes: 0 success; 1 usage or config error, or any other invalid value
 (a ValueError, e.g. a swap word no report contains, or viz on an arm without
@@ -36,6 +40,7 @@ from .errors import ConfigError, DataFormatError, NumericalError, ShapeError
 from .model import ModelConfig
 from .train import (TrainConfig, ablate, attention_dump, evaluate, paper_arms,
                     train, word_swap_probe)
+from .util import write_json
 
 _SECTIONS = {
     "train": TrainConfig,
@@ -46,7 +51,6 @@ _SECTIONS = {
 }
 _TRAIN_SCALARS = tuple(f.name for f in fields(TrainConfig)
                        if f.name not in ("seed", "model", "policy", "split"))
-_TUPLE_FIELDS = {"fractions"}
 
 
 class CliUsageError(Exception):
@@ -88,9 +92,13 @@ def _parse_override(text: str):
 
 
 def load_config(path, overrides=()):
-    """Parse the config document, apply overrides, return the config bundle.
+    """Parse the config document, apply overrides, return the config bundle:
+    the first step of the one path that `run` takes for every command.
 
-    Returns (TrainConfig, GeneratorConfig, data_dir or None, echo_dict).
+    Each section's dataclass checks its own values, and data.dir, when set,
+    must be a string. Returns (TrainConfig, GeneratorConfig, data_dir or None,
+    echo_dict); `run` sets the echo's data.dir to the dataset it read, and
+    writes the echo once the command has succeeded.
     """
     doc = {}
     if path:
@@ -122,27 +130,23 @@ def load_config(path, overrides=()):
         section, name = key.split(".", 1)
         doc.setdefault(section, {})[name] = value
 
-    def build(section, cls, skip=()):
-        src = {k: v for k, v in doc.get(section, {}).items() if k not in skip}
-        for k in list(src):
-            if k in _TUPLE_FIELDS and isinstance(src[k], list):
-                src[k] = tuple(src[k])
+    def build(section, cls, **extra):
+        # data.dir is the one config key that is no dataclass field
+        src = {k: v for k, v in doc.get(section, {}).items() if k != "dir"}
         try:
-            return cls(**src)
+            return cls(**src, **extra)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"config section {section!r}: {e}") from None
 
     model = build("model", ModelConfig)
     policy = build("augment", AugmentPolicy)
     split = build("split", SplitSpec)
-    gen = build("data", GeneratorConfig, skip=("dir",))
+    gen = build("data", GeneratorConfig)
+    cfg = build("train", TrainConfig, seed=doc.get("seed", 0), model=model,
+                policy=policy, split=split)
     data_dir = doc.get("data", {}).get("dir")
-    train_kwargs = {k: v for k, v in doc.get("train", {}).items()}
-    try:
-        cfg = TrainConfig(seed=doc.get("seed", 0), model=model,
-                          policy=policy, split=split, **train_kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"config section 'train': {e}") from None
+    if data_dir is not None and not isinstance(data_dir, str):
+        raise ConfigError(f"data.dir must be a string, got {data_dir!r}")
 
     echo = {"seed": cfg.seed, "train": {k: getattr(cfg, k) for k in _TRAIN_SCALARS},
             "model": asdict(model), "augment": asdict(policy),
@@ -158,18 +162,7 @@ def _write_echo(out_dir, command, echo) -> None:
         doc = {"seed": echo["seed"], "data": echo["data"]}
     else:
         doc = {**echo, "data": {k: v for k, v in echo["data"].items() if k == "dir"}}
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "invocation.json").write_text(
-        json.dumps({"command": command, **doc}, indent=2, sort_keys=True,
-                   default=str) + "\n")
-
-
-def _load_samples(args, data_dir):
-    path = getattr(args, "data", None) or data_dir
-    if not path:
-        raise CliUsageError("no dataset directory: pass --data or set data.dir")
-    return read_dataset(path), str(path)
+    write_json(Path(out_dir) / "invocation.json", {"command": command, **doc})
 
 
 def _build_parser() -> _Parser:
@@ -231,89 +224,60 @@ def _parse_swaps(items):
     return swaps
 
 
-def _cmd_gen_data(args) -> int:
-    cfg, gen, _, echo = load_config(args.config, args.override)
-    samples = generate_dataset(gen, cfg.seed)
-    write_dataset(samples, args.out, meta={"generator": asdict(gen),
-                                           "seed": cfg.seed})
-    _write_echo(args.out, "gen-data", echo)
-    print(f"wrote {len(samples)} samples to {args.out}")
-    return 0
+# Each command takes the parsed flags, the TrainConfig, the GeneratorConfig
+# and the dataset (None for the commands without --data), and writes only its
+# own artifacts; `run` writes the echo.
+
+def _cmd_gen_data(args, cfg, gen, samples) -> None:
+    made = generate_dataset(gen, cfg.seed)
+    write_dataset(made, args.out, meta={"generator": asdict(gen), "seed": cfg.seed})
+    print(f"wrote {len(made)} samples to {args.out}")
 
 
-def _cmd_train(args) -> int:
-    cfg, _, data_dir, echo = load_config(args.config, args.override)
-    samples, path = _load_samples(args, data_dir)
+def _cmd_train(args, cfg, gen, samples) -> None:
     record = train(cfg, samples, args.out)
-    echo["data"]["dir"] = path
-    _write_echo(args.out, "train", echo)
     print(f"arm={record.ablation} best_epoch={record.best_epoch} "
           f"test_dice={record.test_dice_mean:.4f} sd={record.test_dice_sd:.4f}")
-    return 0
 
 
-def _cmd_eval(args) -> int:
-    cfg, _, data_dir, echo = load_config(args.config, args.override)
-    samples, path = _load_samples(args, data_dir)
+def _cmd_eval(args, cfg, gen, samples) -> None:
     res = evaluate(args.checkpoint, samples, cfg)
     print(f"dice mean={res.mean:.4f} sd={res.sd:.4f} n={len(res.scores)}")
     if args.out:
-        echo["data"]["dir"] = path
-        _write_echo(args.out, "eval", echo)
-        (Path(args.out) / "eval.json").write_text(json.dumps(
-            {"mean": res.mean, "sd": res.sd, "scores": res.scores},
-            indent=2, sort_keys=True) + "\n")
-    return 0
+        write_json(Path(args.out) / "eval.json", asdict(res))
 
 
-def _cmd_ablate(args) -> int:
-    cfg, _, data_dir, echo = load_config(args.config, args.override)
-    samples, path = _load_samples(args, data_dir)
+def _cmd_ablate(args, cfg, gen, samples) -> None:
     out = ablate(paper_arms(cfg), samples, args.out, jobs=args.jobs)
-    echo["data"]["dir"] = path
-    _write_echo(args.out, "ablate", echo)
     for arm, row in out["summary"].items():
         delta = row["delta_vs_full"]
         delta_s = f" delta={delta:+.4f}" if delta is not None else ""
         print(f"{arm}: dice={row['mean']:.4f} sd={row['sd']:.4f}{delta_s}")
-    return 0
 
 
-def _cmd_probe(args) -> int:
-    cfg, _, data_dir, echo = load_config(args.config, args.override)
-    samples, path = _load_samples(args, data_dir)
+def _cmd_probe(args, cfg, gen, samples) -> None:
     swaps = _parse_swaps(args.swap) or [("left", "right"), ("large", "small")]
     report = word_swap_probe(args.checkpoint, samples, swaps, cfg)
     for key, agg in report["swaps"].items():
         print(f"{key}: n={agg['samples']} flip_rate={100.0 * agg['flip_rate']:.1f}% "
               f"area_ratio={100.0 * agg['mean_area_ratio']:.1f}%")
     if args.out:
-        echo["data"]["dir"] = path
-        _write_echo(args.out, "probe", echo)
-        (Path(args.out) / "probe.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return 0
+        write_json(Path(args.out) / "probe.json", report)
 
 
-def _cmd_viz(args) -> int:
-    cfg, _, data_dir, echo = load_config(args.config, args.override)
-    samples, path = _load_samples(args, data_dir)
+def _cmd_viz(args, cfg, gen, samples) -> None:
     if not 0 <= args.index < len(samples):
         raise CliUsageError(f"--index {args.index} outside dataset of {len(samples)}")
     src, dst = _parse_swaps([args.swap])[0]
     files = attention_dump(args.checkpoint, samples[args.index], args.out, cfg,
                            swap=(src, dst), channel=args.channel)
-    echo["data"]["dir"] = path
-    _write_echo(args.out, "viz", echo)
     print(f"wrote {len(files)} maps to {args.out}")
-    return 0
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args, cfg, gen, samples) -> None:
     from .model import predict_mask
     from .train import _as_weights, _forward_batch
 
-    cfg, _, _, echo = load_config(args.config, args.override)
     raw, maxval = read_pgm(args.image)
     if maxval != 65535:
         raise DataFormatError(f"{args.image}: predict expects a 16-bit image PGM")
@@ -327,9 +291,6 @@ def _cmd_predict(args) -> int:
     if args.truth:
         t_raw, _ = read_pgm(args.truth)
         print(f"dice={dice(mask, (t_raw > 127).astype(np.uint8)):.4f}")
-    if args.out:
-        _write_echo(args.out, "predict", echo)
-    return 0
 
 
 _COMMANDS = {
@@ -345,9 +306,19 @@ _COMMANDS = {
 
 def run(argv) -> int:
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        cfg, gen, data_dir, echo = load_config(args.config, args.override)
+        samples = None
+        if hasattr(args, "data"):
+            path = args.data or data_dir
+            if not path:
+                raise CliUsageError("no dataset directory: pass --data or set data.dir")
+            samples = read_dataset(path)
+            echo["data"]["dir"] = path
+        _COMMANDS[args.command](args, cfg, gen, samples)
+        if args.out:
+            _write_echo(args.out, args.command, echo)
+        return 0
     except (CliUsageError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

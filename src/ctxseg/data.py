@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, ShapeError
-from .util import check_float, check_int, check_seed, mix64, rng_from
+from .util import (check_float, check_int, check_seed, mix64, rng_from,
+                   write_json)
 
 _SALT_SAMPLE = 0x5A17
 _SALT_SPLIT = 0x51DE
@@ -103,6 +104,7 @@ class SplitSpec:
     fold_seeds: list = field(default_factory=lambda: [101, 102, 103, 104, 105])
 
     def __post_init__(self):
+        self.fractions = tuple(self.fractions)
         for f in self.fractions:
             check_float("fractions entry", f)
         if not self.fold_seeds:
@@ -297,8 +299,7 @@ def write_dataset(samples, out_dir, meta: dict | None = None) -> None:
             "seed": smp.seed,
         }, sort_keys=True))
     (out_dir / "manifest.jsonl").write_text("\n".join(lines) + "\n")
-    (out_dir / "meta.json").write_text(
-        json.dumps(meta or {}, sort_keys=True, indent=2) + "\n")
+    write_json(out_dir / "meta.json", meta or {})
 
 
 def read_dataset(dir_path) -> list:
@@ -315,6 +316,9 @@ def read_dataset(dir_path) -> list:
         try:
             rec = json.loads(line)
             attrs = SampleAttrs(**rec["attrs"])
+            if not isinstance(rec["report"], str):
+                raise DataFormatError(f"manifest line {lineno}: report must be "
+                                      f"a string, got {rec['report']!r}")
             raw_img, maxval = read_pgm(dir_path / rec["image"])
             if maxval != 65535:
                 raise DataFormatError(f"{rec['image']}: image must be 16-bit")

@@ -9,7 +9,6 @@ that checkpoint, never the final epoch.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -25,7 +24,8 @@ from .errors import DataFormatError, NumericalError, ShapeError
 from .model import (ModelConfig, init_weights, predict_mask, text_gated_forward,
                     unet_forward, weight_shapes)
 from .textenc import embed, tokenize
-from .util import check_float, check_int, check_seed, mix64, rng_from
+from .util import (check_float, check_int, check_seed, mix64, rng_from,
+                   write_json)
 
 _SALT_SHUFFLE = 0x54F1
 
@@ -82,9 +82,6 @@ class RunRecord:
     test_scores: list
     checkpoint: str
     config: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 @dataclass
@@ -191,7 +188,7 @@ def train(cfg: TrainConfig, dataset, out_dir, fold_seed: int | None = None
     for part, idx in (("train", tr_idx), ("validation", va_idx), ("test", te_idx)):
         if not idx:
             raise ValueError(
-                f"split.fractions {tuple(cfg.split.fractions)} leave the {part} "
+                f"split.fractions {cfg.split.fractions} leave the {part} "
                 f"part of {len(dataset)} samples empty")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -249,7 +246,7 @@ def train(cfg: TrainConfig, dataset, out_dir, fold_seed: int | None = None
         checkpoint=str(ckpt_path),
         config=asdict(cfg),
     )
-    (out_dir / "runrecord.json").write_text(record.to_json() + "\n")
+    write_json(out_dir / "runrecord.json", asdict(record))
     return record
 
 
@@ -332,12 +329,12 @@ def ablate(arms: dict, dataset, out_dir, jobs: int = 1) -> dict:
         means = [r.test_dice_mean for r in recs]
         summary[arm] = {"mean": float(np.mean(means)), "sd": float(np.std(means)),
                         "median": float(statistics.median(means))}
-        (out_dir / arm / "cv.json").write_text(json.dumps({
+        write_json(out_dir / arm / "cv.json", {
             "mean": summary[arm]["mean"], "sd": summary[arm]["sd"],
             "folds": [{"fold_seed": r.fold_seed, "dice": r.test_dice_mean,
                        "sd": r.test_dice_sd, "best_epoch": r.best_epoch}
                       for r in recs],
-        }, indent=2, sort_keys=True) + "\n")
+        })
     full_mean = summary["full"]["mean"] if "full" in summary else None
     for row in summary.values():
         row["delta_vs_full"] = (row["mean"] - full_mean
@@ -350,8 +347,7 @@ def ablate(arms: dict, dataset, out_dir, jobs: int = 1) -> dict:
             for k, rec in enumerate(recs):
                 writer.writerow([arm, k, f"{rec.test_dice_mean:.6f}",
                                  f"{rec.test_dice_sd:.6f}"])
-    (out_dir / "comparison.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "comparison.json", summary)
     return {"summary": summary, "results": results}
 
 

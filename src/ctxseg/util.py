@@ -1,4 +1,5 @@
-"""Seed derivation and hashing shared across modules.
+"""Seed derivation, hashing, value checks and the JSON writer shared across
+modules.
 
 All randomness in the package flows through counter-based Philox generators
 keyed by 64-bit FNV-1a hashes, so every artifact is a pure function of the
@@ -7,8 +8,10 @@ seeds that produced it, independent of execution order.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
+from pathlib import Path
 
 import numpy as np
 
@@ -58,3 +61,12 @@ def mix64(*vals: int) -> int:
 def rng_from(*vals: int) -> np.random.Generator:
     """Philox generator keyed by the hash of the given integers."""
     return np.random.Generator(np.random.Philox(key=[mix64(*vals), 0x5EED]))
+
+
+def write_json(path, doc) -> None:
+    """Write doc to path as JSON with indent 2, sorted keys and a trailing
+    newline, making the parent directory first. Every JSON artifact of the
+    package goes through here, so all share one format."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -259,3 +259,11 @@ class TestPipeline:
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError):
             AugmentPolicy(p_hflip=1.5)
+
+    @pytest.mark.parametrize("value", ["false", "yes", 1, 0, None])
+    def test_text_shuffle_must_be_a_bool(self, value):
+        # a truthy non-bool such as the string "false" would turn shuffling on
+        with pytest.raises(ValueError,
+                           match=f"text_shuffle must be a bool, got {value!r}"):
+            AugmentPolicy(text_shuffle=value)
+        assert AugmentPolicy(text_shuffle=False).text_shuffle is False

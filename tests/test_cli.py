@@ -76,6 +76,55 @@ def test_train_reruns_from_its_own_echo(trained, tmp_path):
             == (trained / "checkpoint.ctxn").read_bytes())
 
 
+@pytest.mark.parametrize("command", ["gen-data", "eval", "probe", "viz"])
+def test_command_reruns_from_its_own_echo(command, trained, data_dir, tmp_path):
+    if command == "gen-data":
+        again = []
+        flags = ["--override", "data.n=4", "--override", "data.image_size=32"]
+    else:
+        again = ["--checkpoint", str(trained / "checkpoint.ctxn")]
+        flags = _with_small_model(again + ["--data", str(data_dir)])
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run([command, "--out", str(first)] + flags) == 0
+    assert run([command, "--config", str(first / "invocation.json"),
+                "--out", str(second)] + again) == 0
+    files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+    assert Path("invocation.json") in files and len(files) > 1
+    assert files == sorted(p.relative_to(second) for p in second.rglob("*")
+                           if p.is_file())
+    for name in files:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command,flags,code", [
+    ("eval", ["--override", "model.channels=[4,12]"], 2),
+    ("probe", ["--swap", "zzz:yyy"], 1),
+])
+def test_failed_eval_or_probe_leaves_no_out_dir(command, flags, code, trained,
+                                                data_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = _with_small_model([command, "--checkpoint", str(trained / "checkpoint.ctxn"),
+                              "--data", str(data_dir), "--out", str(out)])
+    assert run(argv + flags) == code
+    _assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_train_on_a_non_string_report_exits_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    write_dataset(generate_dataset(GeneratorConfig(n=2, image_size=32), base_seed=5),
+                  data)
+    manifest = data / "manifest.jsonl"
+    lines = manifest.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "report": 5})
+    manifest.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    argv = ["train", "--data", str(data), "--out", str(out)]
+    assert run(_with_small_model(argv)) == 2
+    assert "manifest line 1: report must be a string" in _assert_one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_eval_out_writes_scores(trained, data_dir, tmp_path):
     out = tmp_path / "eval"
     argv = ["eval", "--checkpoint", str(trained / "checkpoint.ctxn"),
@@ -242,6 +291,8 @@ def test_train_with_nonpositive_batch_size_exits_1(batch_size, data_dir, tmp_pat
     ("gen-data", "data.n=0", "n must be >= 1, got 0"),
     ("gen-data", "data.image_size=16", "image_size must be >= 32, got 16"),
     ("train", "split.fold_seeds=[]", "fold_seeds needs at least one seed"),
+    ("train", "data.dir=5", "data.dir must be a string, got 5"),
+    ("train", 'augment.text_shuffle="false"', "text_shuffle must be a bool, got 'false'"),
 ])
 def test_bad_integer_config_value_exits_1(command, override, message, data_dir,
                                           tmp_path, capsys):

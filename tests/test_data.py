@@ -163,9 +163,16 @@ class TestDatasetIO:
         write_dataset(samples, tmp_path / "d")
         manifest = tmp_path / "d" / "manifest.jsonl"
         lines = manifest.read_text().splitlines()
+        record = json.loads(lines[1])
         lines[1] = json.dumps({"id": "000001"})   # missing fields
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match="line 2"):
+            read_dataset(tmp_path / "d")
+        # a report that is no string would reach the tokenizer
+        lines[1] = json.dumps({**record, "report": 5})
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError,
+                           match="manifest line 2: report must be a string, got 5"):
             read_dataset(tmp_path / "d")
 
     @pytest.mark.parametrize("kind,maxval", [("images", 65535), ("masks", 255)])
