@@ -89,6 +89,9 @@ class GeneratorConfig:
         check_int("n", self.n)
         if self.image_size < 32:
             raise ValueError(f"image_size must be >= 32, got {self.image_size}")
+        if self.image_size % 2:
+            # a model of any depth halves the sides at least once
+            raise ValueError(f"image_size must be even, got {self.image_size}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         for name in ("present_fraction", "ambiguous_fraction"):
@@ -100,6 +103,12 @@ class GeneratorConfig:
 
 @dataclass
 class SplitSpec:
+    """Train/validation/test fractions and the Monte Carlo fold seeds.
+
+    Every rule of a valid split lives in this module: here, the fractions
+    rule that `split_indices` also applies (`_check_fractions`) and one or
+    more distinct fold seeds; in `split_indices`, the rule that no part of
+    the dataset at hand is empty."""
     fractions: tuple = (0.7, 0.15, 0.15)
     fold_seeds: list = field(default_factory=lambda: [101, 102, 103, 104, 105])
 
@@ -107,10 +116,13 @@ class SplitSpec:
         self.fractions = tuple(self.fractions)
         for f in self.fractions:
             check_float("fractions entry", f)
+        _check_fractions(self.fractions)
         if not self.fold_seeds:
             raise ValueError("fold_seeds needs at least one seed")
         for s in self.fold_seeds:
             check_seed("fold_seeds entry", s)
+        if len(set(self.fold_seeds)) < len(self.fold_seeds):
+            raise ValueError(f"fold_seeds must be distinct, got {self.fold_seeds}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -361,17 +373,31 @@ def dice(pred: np.ndarray, truth: np.ndarray) -> float:
     return 2.0 * int((p & t).sum()) / total
 
 
-def split_indices(n: int, fractions, fold_seed: int):
-    """One random disjoint (train, val, test) partition of range(n)."""
+def _check_fractions(fractions) -> tuple:
+    """The fractions as floats; ValueError unless they are three
+    non-negatives summing to 1."""
     f = tuple(float(x) for x in fractions)
     if len(f) != 3 or any(x < 0 for x in f) or abs(sum(f) - 1.0) > 1e-9:
         raise ValueError(f"fractions must be 3 non-negatives summing to 1, got {f}")
-    perm = rng_from(fold_seed, _SALT_SPLIT).permutation(n)
+    return f
+
+
+def split_indices(n: int, fractions, fold_seed: int):
+    """One random disjoint (train, val, test) partition of range(n).
+
+    ValueError if the fractions break SplitSpec's rule, or leave a part of
+    the n samples empty. Part sizes depend on n and the fractions alone, so
+    one fold seed's split holds for every fold seed's."""
+    f = _check_fractions(fractions)
+    perm = rng_from(fold_seed, _SALT_SPLIT).permutation(n).tolist()
     n_tr = round(f[0] * n)
     n_va = round(f[1] * n)
-    return (perm[:n_tr].tolist(),
-            perm[n_tr:n_tr + n_va].tolist(),
-            perm[n_tr + n_va:].tolist())
+    parts = perm[:n_tr], perm[n_tr:n_tr + n_va], perm[n_tr + n_va:]
+    for name, idx in zip(("train", "validation", "test"), parts):
+        if not idx:
+            raise ValueError(f"split.fractions {tuple(fractions)} leave the "
+                             f"{name} part of {n} samples empty")
+    return parts
 
 
 def centroid_side(mask: np.ndarray) -> str | None:

@@ -36,6 +36,8 @@ class ModelConfig:
     def __post_init__(self):
         for c in self.channels:
             check_int("channels entry", c)
+            if c < 1:
+                raise ValueError(f"channels entries must be at least 1, got {c}")
         for name in ("bottleneck", "d_e", "max_tokens"):
             check_int(name, getattr(self, name))
         check_seed("init_seed", self.init_seed)
@@ -158,18 +160,12 @@ def cross_attention(q_feat: DiffTensor, embs: list, weights: dict, level: int,
     the input, tanh gate and output maps of every item, as (n, c, h, w)
     arrays under "q", "tanh_a" and "qstar".
     """
-    n, c, h, w = q_feat.data.shape
+    n = q_feat.data.shape[0]
     if len(embs) != n:
         raise ShapeError(f"{len(embs)} embeddings for batch of {n}")
-    d_e = embs[0].shape[1]
     p = f"xattn{level}"
-    tproj_w = weights[f"{p}.tproj.w"]
-    if tproj_w.data.shape != (d_e, c):
-        raise ShapeError(
-            f"text projection is {tproj_w.data.shape}, needs ({d_e}, {c})")
-
     e = DiffTensor(np.stack(embs))                          # frozen: no grad path
-    t = dc.matmul(e, tproj_w, weights[f"{p}.tproj.b"])
+    t = dc.matmul(e, weights[f"{p}.tproj.w"], weights[f"{p}.tproj.b"])
     keys = dc.matmul(t, weights[f"{p}.wk.w"], weights[f"{p}.wk.b"])
     values = dc.matmul(t, weights[f"{p}.wv.w"], weights[f"{p}.wv.b"])
     gate = dc.attention_gate(q_feat, weights[f"{p}.wq.w"], weights[f"{p}.wq.b"],

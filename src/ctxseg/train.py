@@ -180,16 +180,12 @@ def train(cfg: TrainConfig, dataset, out_dir, fold_seed: int | None = None
           ) -> RunRecord:
     """Train one fold: augment, optimize, select on validation, test.
 
-    A split that leaves the train, validation or test part empty raises
-    ValueError before the first epoch."""
+    The split comes from data.split_indices, which owns the rule that no part
+    is empty: a split that leaves the train, validation or test part empty
+    raises ValueError there, before out_dir is made."""
     fold_seed = cfg.split.fold_seeds[0] if fold_seed is None else fold_seed
     tr_idx, va_idx, te_idx = split_indices(len(dataset), cfg.split.fractions,
                                            fold_seed)
-    for part, idx in (("train", tr_idx), ("validation", va_idx), ("test", te_idx)):
-        if not idx:
-            raise ValueError(
-                f"split.fractions {cfg.split.fractions} leave the {part} "
-                f"part of {len(dataset)} samples empty")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     use_attn = cfg.ablation != "baseline_unet"
@@ -265,14 +261,15 @@ def ablate(arms: dict, dataset, out_dir, jobs: int = 1) -> dict:
     """Train each {name: TrainConfig} of `arms` on every fold seed, into
     out_dir/<name>/fold<k>, and compare the arms over the folds.
 
-    There must be at least one arm. The arms must share `split` and `seed`,
-    so the comparison stays paired, and the dataset must hold (folds x batch
-    size) samples for every arm.
-    These rules and jobs >= 1 are checked before any directory is made or
-    any fold trains (ValueError). jobs > 1 trains the (arm, fold) runs in
-    spawned workers with one BLAS thread each; they import the calling
-    script, so its entry point must sit under `if __name__ == "__main__":`.
-    The files do not depend on jobs.
+    There must be at least one arm, and the arms must share `split` and
+    `seed`, so the comparison stays paired. Every split rule lives in
+    data.py: SplitSpec checked the fractions and fold seeds when it was
+    made, and one data.split_indices call, on the first fold seed, checks
+    that no part of the dataset is empty. These checks and jobs >= 1 raise
+    ValueError before any directory is made or any fold trains. jobs > 1
+    trains the (arm, fold) runs in spawned workers with one BLAS thread
+    each; they import the calling script, so its entry point must sit under
+    `if __name__ == "__main__":`. The files do not depend on jobs.
 
     Writes each arm's cv.json (mean and population SD of its fold test means,
     and per fold the Dice, SD and best epoch), comparison.csv (arm, fold,
@@ -294,11 +291,9 @@ def ablate(arms: dict, dataset, out_dir, jobs: int = 1) -> dict:
     if any((c.split, c.seed) != (first.split, first.seed) for c in arms.values()):
         raise ValueError("ablate: the arms must share split and seed")
     fold_seeds = first.split.fold_seeds
-    for cfg in arms.values():
-        if len(dataset) < len(fold_seeds) * cfg.batch_size:
-            raise ValueError(
-                f"dataset of {len(dataset)} too small for "
-                f"{len(fold_seeds)} folds at batch size {cfg.batch_size}")
+    # every fold splits the same n samples at the same fractions, so one
+    # fold's parts are empty exactly when every fold's are
+    split_indices(len(dataset), first.split.fractions, fold_seeds[0])
     out_dir = Path(out_dir)
     tasks = [(cfg, dataset, out_dir / name / f"fold{k}", fs)
              for name, cfg in arms.items() for k, fs in enumerate(fold_seeds)]

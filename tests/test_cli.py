@@ -149,13 +149,15 @@ def test_ablate_writes_all_four_arms(data_dir, tmp_path):
     assert flip["ablation"] == "full" and flip["config"]["policy"]["p_hflip"] == 0.5
 
 
-def test_ablate_on_too_small_a_dataset_exits_1_with_no_echo(data_dir, tmp_path,
-                                                            capsys):
+def test_ablate_with_an_empty_split_part_exits_1_with_no_out_dir(data_dir, tmp_path,
+                                                                 capsys):
     out = tmp_path / "ablate"
     argv = ["ablate", "--data", str(data_dir), "--out", str(out),
-            "--override", "train.epochs=1", "--override", "split.fold_seeds=[1,2,3]"]
+            "--override", "train.epochs=1",
+            "--override", "split.fractions=[0.8,0.0,0.2]"]
     assert run(_with_small_model(argv)) == 1
-    assert "too small for 3 folds" in _assert_one_error_line(capsys)
+    line = _assert_one_error_line(capsys)
+    assert "leave the validation part of 8 samples empty" in line
     assert not out.exists()
 
 
@@ -293,6 +295,12 @@ def test_train_with_nonpositive_batch_size_exits_1(batch_size, data_dir, tmp_pat
     ("train", "split.fold_seeds=[]", "fold_seeds needs at least one seed"),
     ("train", "data.dir=5", "data.dir must be a string, got 5"),
     ("train", 'augment.text_shuffle="false"', "text_shuffle must be a bool, got 'false'"),
+    # split rules apply at load, so no command takes a split that train refuses
+    ("gen-data", "split.fractions=[0.5,0.5]",
+     "fractions must be 3 non-negatives summing to 1, got (0.5, 0.5)"),
+    ("train", "split.fold_seeds=[101,101]", "fold_seeds must be distinct, got [101, 101]"),
+    ("gen-data", "data.image_size=33", "image_size must be even, got 33"),
+    ("train", "model.channels=[0,8]", "channels entries must be at least 1, got 0"),
 ])
 def test_bad_integer_config_value_exits_1(command, override, message, data_dir,
                                           tmp_path, capsys):

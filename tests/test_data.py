@@ -33,6 +33,11 @@ def report_consistent(sample: Sample) -> bool:
 
 
 class TestGenerator:
+    def test_odd_image_size_rejected(self):
+        # every model depth halves the sides at least once
+        with pytest.raises(ValueError, match="image_size must be even, got 33"):
+            GeneratorConfig(image_size=33)
+
     def test_same_seed_bitwise_identical(self):
         cfg = GeneratorConfig()
         a = generate_sample(123, cfg)
@@ -306,3 +311,24 @@ class TestSplits:
     def test_invalid_fractions(self):
         with pytest.raises(ValueError, match="fractions"):
             split_indices(20, (0.5, 0.2, 0.2), 0)
+
+    @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.8, -0.1, 0.3),
+                                           (0.7, 0.1, 0.1)],
+                             ids=["two_entries", "negative", "sum_0.9"])
+    def test_spec_applies_the_fractions_rule(self, fractions):
+        # the rule split_indices applies, so a config that loads also splits
+        with pytest.raises(ValueError,
+                           match="fractions must be 3 non-negatives summing to 1"):
+            SplitSpec(fractions=fractions)
+
+    def test_spec_rejects_a_repeated_fold_seed(self):
+        # a repeated seed would train the same fold twice and count it twice
+        with pytest.raises(ValueError,
+                           match=r"fold_seeds must be distinct, got \[101, 102, 101\]"):
+            SplitSpec(fold_seeds=[101, 102, 101])
+
+    def test_empty_part_is_named(self):
+        with pytest.raises(ValueError, match=r"split.fractions \(0.8, 0.0, 0.2\) "
+                                             "leave the validation part of 8 "
+                                             "samples empty"):
+            split_indices(8, (0.8, 0.0, 0.2), 1)

@@ -79,6 +79,12 @@ class TestInitWeights:
         with pytest.raises(ValueError, match="increasing"):
             ModelConfig(channels=[8, 8], bottleneck=16)
 
+    @pytest.mark.parametrize("channels", [[0, 8], [-4, 8]])
+    def test_channel_count_below_1_rejected(self, channels):
+        with pytest.raises(ValueError, match="channels entries must be at least "
+                                             f"1, got {channels[0]}"):
+            ModelConfig(channels=channels, bottleneck=16)
+
 
 class TestEncoderLayer:
     def test_shape_law_and_nonnegativity(self, rng):
@@ -161,6 +167,14 @@ class TestCrossAttention:
         w["xattn1.wq.w"].data[0, 0] = np.inf
         q = DiffTensor(rng.standard_normal((1, 4, 8, 8)))
         with pytest.raises(NumericalError, match="cross-attention logits"):
+            cross_attention(q, [make_emb()], w, 1)
+
+    def test_projection_of_the_wrong_width_raises(self, rng):
+        # embeddings of width d_e = 8 against a projection that takes 9
+        w = init_weights(tiny_config())
+        w["xattn1.tproj.w"] = DiffTensor(np.zeros((9, 4)))
+        q = DiffTensor(rng.standard_normal((1, 4, 8, 8)))
+        with pytest.raises(ShapeError, match="matmul: inner dimensions disagree"):
             cross_attention(q, [make_emb()], w, 1)
 
     def test_no_gradient_into_embeddings(self, rng):

@@ -422,15 +422,28 @@ class TestAblate:
                             for d in (one_dir, two_dir))
                 assert one == two, (case, rel)
 
-    def test_too_small_for_any_arm_raises_before_training(self, tiny_dataset,
-                                                           tmp_path):
-        # 16 samples hold 3 folds at batch size 4 but not at batch size 8
-        cfg = tiny_train_config(epochs=1, split=SplitSpec(fold_seeds=[11, 12, 13]))
-        with pytest.raises(ValueError, match="dataset of 16 too small for 3 folds "
-                                             "at batch size 8"):
-            ablate({"full": cfg, "big": replace(cfg, batch_size=8)}, tiny_dataset,
-                   tmp_path / "out")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_empty_split_part_raises_before_any_directory(self, tiny_dataset,
+                                                          tmp_path, jobs):
+        cfg = tiny_train_config(epochs=1, split=SplitSpec(fractions=(0.8, 0.0, 0.2)))
+        with pytest.raises(ValueError, match="leave the validation part of 16 "
+                                             "samples empty"):
+            ablate({"full": cfg}, tiny_dataset, tmp_path / "out", jobs=jobs)
         assert not (tmp_path / "out").exists()
+
+    def test_folds_train_on_fewer_samples_than_folds_times_batch_size(
+            self, tiny_dataset, tmp_path):
+        # every fold splits all 16 samples, so 3 folds at batch size 8 each
+        # train 11 samples, as one full batch and one shorter one
+        cfg = tiny_train_config(epochs=1, split=SplitSpec(fold_seeds=[11, 12, 13]))
+        arms = {"full": cfg, "big": replace(cfg, batch_size=8)}
+        out = ablate(arms, tiny_dataset, tmp_path)
+        for name in arms:
+            assert [r.fold_seed for r in out["results"][name]] == [11, 12, 13]
+            for k in range(3):
+                fold = tmp_path / name / f"fold{k}"
+                assert (fold / "checkpoint.ctxn").is_file()
+                assert (fold / "runrecord.json").is_file()
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_nonpositive_jobs_raise(self, tiny_dataset, tmp_path, jobs):
