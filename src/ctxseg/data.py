@@ -374,11 +374,11 @@ def dice(pred: np.ndarray, truth: np.ndarray) -> float:
 
 
 def _check_fractions(fractions) -> tuple:
-    """The fractions as floats; ValueError unless they are three
-    non-negatives summing to 1."""
+    """The fractions as floats; ValueError unless they are three positives
+    summing to 1 (a zero fraction empties its part at every n)."""
     f = tuple(float(x) for x in fractions)
-    if len(f) != 3 or any(x < 0 for x in f) or abs(sum(f) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must be 3 non-negatives summing to 1, got {f}")
+    if len(f) != 3 or any(x <= 0 for x in f) or abs(sum(f) - 1.0) > 1e-9:
+        raise ValueError(f"fractions must be 3 positives summing to 1, got {f}")
     return f
 
 

@@ -8,7 +8,6 @@ from itertools import zip_longest
 import numpy as np
 
 from ..errors import NumericalError, ShapeError
-from .tensor import DiffTensor
 
 _BETA1, _BETA2, _EPS, _WEIGHT_DECAY = 0.9, 0.999, 1e-8, 0.01
 
@@ -37,7 +36,9 @@ def adamw_step(params: dict, state: AdamWState) -> None:
     """One decoupled-weight-decay update over every trainable parameter.
 
     Gradients are read from each parameter's `.grad` (a missing buffer counts
-    as zero gradient). The decay term is applied outside the moment estimate:
+    as zero gradient), so gradients from several `backward` calls add up
+    until the step that applies them. The decay term is applied outside the
+    moment estimate:
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta).
 
     The first step fixes the trainable parameters, their order and shapes; a
@@ -48,7 +49,9 @@ def adamw_step(params: dict, state: AdamWState) -> None:
     `step_count` as it was, and a rejected first step leaves the state
     unbuilt. The update then runs as a few whole-buffer operations, the same
     arithmetic as one parameter at a time, and each parameter takes its
-    slice.
+    slice and has its `.grad` released (set to None), so the next step
+    starts from no gradient. A rejected step releases nothing, and a
+    parameter that needs no gradient keeps its `.grad`.
     """
     live = [(name, p) for name, p in params.items() if p.requires_grad]
     if not live:
@@ -96,9 +99,4 @@ def adamw_step(params: dict, state: AdamWState) -> None:
     update *= state.lr
     for (_, p), part in zip(live, views):
         p.data -= part
-
-
-def zero_grads(params: dict) -> None:
-    for p in params.values():
-        if isinstance(p, DiffTensor):
-            p.zero_grad()
+        p.grad = None

@@ -7,8 +7,10 @@ pass over tensors that need none records no graph. `backward()` runs the
 closures once each in reverse topological order and consumes the graph as it
 goes: an interior node that the caller does not hold is freed, with its data,
 gradient and closure, as soon as its own closure has run. A node the caller
-holds keeps its `.data` and `.grad`. Arithmetic is float32 by default;
-`set_verify(True)` switches new tensors to float64 for gradient verification.
+holds keeps its `.data` and `.grad`. A parameter's `.grad` adds up over
+`backward` calls until `adamw_step` applies it and releases it. Arithmetic
+is float32 by default; `set_verify(True)` switches new tensors to float64
+for gradient verification.
 
 Importing this module on glibc fixes two malloc thresholds (see
 `_keep_freed_heap`), so a process that imports ctxseg keeps up to 64 MiB of
@@ -107,9 +109,6 @@ class DiffTensor:
         else:
             self.grad += g
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"DiffTensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -126,14 +125,13 @@ def backward(loss: DiffTensor) -> None:
     `.data` and `.grad`, before the next closure runs: the graph shrinks as
     backward proceeds instead of staying whole until it returns. A node the
     caller holds (the loss, a model's logits) keeps its `.data` and `.grad`.
-    Running backward a second time through the same graph raises GraphError.
+    A leaf's `.grad` stays, adding to any gradient already there, until
+    `adamw_step` applies and releases it. A loss that needs no gradient
+    changes nothing. Running backward a second time through the same graph
+    raises GraphError.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    if not loss.requires_grad:
-        # Constant loss: gradients of a constant are zero everywhere; nothing to do.
-        return
-
     topo = _topological(loss)
     if any(t._spent for t in topo):
         raise GraphError("backward was already run through this graph")

@@ -134,8 +134,8 @@ def _as_weights(src, mc: ModelConfig, ablation: str) -> dict:
         missing = sorted(set(expected) - set(arrays))[:3]
         extra = sorted(set(arrays) - set(expected))[:3]
         raise DataFormatError(
-            f"checkpoint does not match model config (missing {missing}, "
-            f"unexpected {extra})")
+            f"checkpoint does not match model config and arm {ablation!r} "
+            f"(missing {missing}, unexpected {extra})")
     for name, shape in expected.items():
         if np.shape(arrays[name]) != shape:
             raise DataFormatError(
@@ -214,7 +214,6 @@ def train(cfg: TrainConfig, dataset, out_dir, fold_seed: int | None = None
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, step "
                     f"{step_start // cfg.batch_size}")
-            dc.zero_grads(weights)
             dc.backward(loss)
             dc.adamw_step(weights, opt)
             losses.append(loss_val)
@@ -361,8 +360,9 @@ def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig) -> dict:
     its arm reads: on `full` the original and every swap that changes it; on
     `no_text` and `baseline_unet`, which read no report, the original alone,
     whose prediction serves every variant. An empty swap
-    source word raises ValueError (see swap_word), and so does a swap listed
-    twice, before any forward runs.
+    source word raises ValueError (see swap_word), and so do a swap listed
+    twice and a swap whose source word occurs in no report, before the
+    checkpoint is read.
     """
     probes = {}
     for src, dst in swaps:
@@ -370,10 +370,14 @@ def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig) -> dict:
         if key in probes:
             raise ValueError(f"swap {key!r} is listed twice")
         probes[key] = []
+    all_variants = [[swap_word(s.report, src, dst) for src, dst in swaps]
+                    for s in samples]
+    for j, key in enumerate(probes):
+        if all(v[j] == s.report for s, v in zip(samples, all_variants)):
+            raise ValueError(f"swap source word of {key!r} occurs in no report")
     weights = _as_weights(checkpoint, cfg.model, cfg.ablation)
     reads_text = cfg.ablation not in ("no_text", "baseline_unet")
-    for si, sample in enumerate(samples):
-        variants = [swap_word(sample.report, src, dst) for src, dst in swaps]
+    for si, (sample, variants) in enumerate(zip(samples, all_variants)):
         if all(v == sample.report for v in variants):
             continue
         texts = ([*dict.fromkeys([sample.report, *variants])] if reads_text
@@ -400,8 +404,6 @@ def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig) -> dict:
 
     report = {"threshold": cfg.threshold, "swaps": {}}
     for key, entries in probes.items():
-        if not entries:
-            raise ValueError(f"swap source word of {key!r} occurs in no report")
         sided = [e for e in entries
                  if e["orig_side"] is not None and e["swapped_side"] is not None]
         flips = sum(e["orig_side"] != e["swapped_side"] for e in sided)
@@ -434,7 +436,8 @@ def attention_dump(checkpoint, sample: Sample, out_dir, cfg: TrainConfig,
     two over a single encoder pass. A `no_text` model reads both
     variants as the empty report. `baseline_unet`, which has no gate to
     dump, and a channel outside [0, model.channels[0]) raise ValueError
-    before any file is written.
+    before the checkpoint is read; out_dir is made only once the forward has
+    run, so a checkpoint that does not load leaves no directory.
     """
     if cfg.ablation == "baseline_unet":
         raise ValueError("attention_dump: the baseline_unet arm has no "
@@ -444,12 +447,12 @@ def attention_dump(checkpoint, sample: Sample, out_dir, cfg: TrainConfig,
                          f"0..{cfg.model.channels[0] - 1}, the channels of "
                          "every decoder level")
     texts = [sample.report, swap_word(sample.report, swap[0], swap[1])]
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     weights = _as_weights(checkpoint, cfg.model, cfg.ablation)
     capture: dict = {}
     _forward_batch(weights, [sample.image], texts, cfg, train=False,
                    capture=capture)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     scales = []
     for item, variant in enumerate(("orig", "swap")):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ctxseg.diffcore import backward, zero_grads
+from ctxseg.diffcore import backward
 
 
 @dataclass
@@ -47,7 +47,8 @@ def finite_diff_check(fn, params: dict, eps: float = 1e-5,
     rng = rng or np.random.default_rng(0)
     names = [k for k, p in params.items() if p.requires_grad]
 
-    zero_grads(params)
+    for k in names:
+        params[k].grad = None
     loss = fn()
     backward(loss)
     analytic = {k: (params[k].grad.copy() if params[k].grad is not None

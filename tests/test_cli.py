@@ -99,6 +99,7 @@ def test_command_reruns_from_its_own_echo(command, trained, data_dir, tmp_path):
 @pytest.mark.parametrize("command,flags,code", [
     ("eval", ["--override", "model.channels=[4,12]"], 2),
     ("probe", ["--swap", "zzz:yyy"], 1),
+    ("viz", ["--override", "model.channels=[4,12]"], 2),
 ])
 def test_failed_eval_or_probe_leaves_no_out_dir(command, flags, code, trained,
                                                 data_dir, tmp_path, capsys):
@@ -108,6 +109,20 @@ def test_failed_eval_or_probe_leaves_no_out_dir(command, flags, code, trained,
     assert run(argv + flags) == code
     _assert_one_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("saved_arm,loaded_arm", [
+    ("full", "baseline_unet"), ("baseline_unet", "full")])
+def test_checkpoint_of_another_arm_names_the_arm(saved_arm, loaded_arm, data_dir,
+                                                 tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.ctxn"
+    save_checkpoint(ckpt, init_weights(SMALL_MC,
+                                       with_attention=saved_arm != "baseline_unet"))
+    argv = _with_small_model(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir),
+                              "--override", f"train.ablation={loaded_arm}"])
+    assert run(argv) == 2
+    line = _assert_one_error_line(capsys)
+    assert f"does not match model config and arm {loaded_arm!r} (missing" in line
 
 
 def test_train_on_a_non_string_report_exits_2(tmp_path, capsys):
@@ -154,7 +169,7 @@ def test_ablate_with_an_empty_split_part_exits_1_with_no_out_dir(data_dir, tmp_p
     out = tmp_path / "ablate"
     argv = ["ablate", "--data", str(data_dir), "--out", str(out),
             "--override", "train.epochs=1",
-            "--override", "split.fractions=[0.8,0.0,0.2]"]
+            "--override", "split.fractions=[0.9,0.05,0.05]"]
     assert run(_with_small_model(argv)) == 1
     line = _assert_one_error_line(capsys)
     assert "leave the validation part of 8 samples empty" in line
@@ -191,8 +206,8 @@ def test_augment_bounds_are_not_config_keys(overrides, data_dir, tmp_path, capsy
 
 
 @pytest.mark.parametrize("fractions,part", [
-    ("[0.8,0.0,0.2]", "validation"),
-    ("[0.5,0.5,0.0]", "test"),
+    ("[0.9,0.05,0.05]", "validation"),
+    ("[0.5,0.45,0.05]", "test"),
 ])
 def test_train_with_an_empty_split_part_exits_1(fractions, part, data_dir, tmp_path,
                                                 capsys):
@@ -297,7 +312,10 @@ def test_train_with_nonpositive_batch_size_exits_1(batch_size, data_dir, tmp_pat
     ("train", 'augment.text_shuffle="false"', "text_shuffle must be a bool, got 'false'"),
     # split rules apply at load, so no command takes a split that train refuses
     ("gen-data", "split.fractions=[0.5,0.5]",
-     "fractions must be 3 non-negatives summing to 1, got (0.5, 0.5)"),
+     "fractions must be 3 positives summing to 1, got (0.5, 0.5)"),
+    # a zero fraction empties its part at every n
+    ("gen-data", "split.fractions=[0.8,0.0,0.2]",
+     "fractions must be 3 positives summing to 1, got (0.8, 0.0, 0.2)"),
     ("train", "split.fold_seeds=[101,101]", "fold_seeds must be distinct, got [101, 101]"),
     ("gen-data", "data.image_size=33", "image_size must be even, got 33"),
     ("train", "model.channels=[0,8]", "channels entries must be at least 1, got 0"),

@@ -313,12 +313,14 @@ class TestSplits:
             split_indices(20, (0.5, 0.2, 0.2), 0)
 
     @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.8, -0.1, 0.3),
-                                           (0.7, 0.1, 0.1)],
-                             ids=["two_entries", "negative", "sum_0.9"])
+                                           (0.7, 0.1, 0.1), (0.8, 0.0, 0.2),
+                                           (1.0, 0.0, 0.0)],
+                             ids=["two_entries", "negative", "sum_0.9",
+                                  "zero_validation", "train_only"])
     def test_spec_applies_the_fractions_rule(self, fractions):
         # the rule split_indices applies, so a config that loads also splits
         with pytest.raises(ValueError,
-                           match="fractions must be 3 non-negatives summing to 1"):
+                           match="fractions must be 3 positives summing to 1"):
             SplitSpec(fractions=fractions)
 
     def test_spec_rejects_a_repeated_fold_seed(self):
@@ -328,7 +330,8 @@ class TestSplits:
             SplitSpec(fold_seeds=[101, 102, 101])
 
     def test_empty_part_is_named(self):
-        with pytest.raises(ValueError, match=r"split.fractions \(0.8, 0.0, 0.2\) "
+        # positive fractions that round the validation part to 0 of 8
+        with pytest.raises(ValueError, match=r"split.fractions \(0.9, 0.05, 0.05\) "
                                              "leave the validation part of 8 "
                                              "samples empty"):
-            split_indices(8, (0.8, 0.0, 0.2), 1)
+            split_indices(8, (0.9, 0.05, 0.05), 1)

@@ -50,12 +50,24 @@ class TestAdamW:
         assert run() == run()
 
     def test_frozen_parameters_skipped(self):
+        # a frozen tensor keeps its data and whatever gradient it holds
         frozen = DiffTensor(np.ones(3), requires_grad=False)
         live = DiffTensor(np.ones(3), requires_grad=True)
+        g = frozen.grad = np.full(3, 2.0, dtype=np.float32)
         live.grad = np.ones(3, dtype=live.data.dtype)
         dc.adamw_step({"f": frozen, "l": live}, dc.AdamWState(lr=0.1))
         np.testing.assert_array_equal(frozen.data, np.ones(3))
+        assert frozen.grad is g
+        np.testing.assert_array_equal(g, np.full(3, 2.0))
         assert not np.array_equal(live.data, np.ones(3))
+
+    def test_step_releases_every_applied_gradient(self):
+        params = {k: DiffTensor(np.ones(3), requires_grad=True) for k in "ab"}
+        state = dc.AdamWState(lr=0.1)
+        for _ in range(2):
+            params["a"].grad = np.ones(3, dtype=np.float32)
+            dc.adamw_step(params, state)
+            assert all(p.grad is None for p in params.values())
 
     def test_matches_per_parameter_reference_bit_for_bit(self):
         # "frozen" has a gradient it must ignore; "nograd" has none at odd
@@ -102,8 +114,10 @@ class TestAdamW:
         params["a"].grad = np.ones(3, dtype=np.float32)
         params["b"].grad = np.array([1.0, np.nan, 1.0], dtype=np.float32)
         params["c"].grad = np.array([np.inf, 1.0, 1.0], dtype=np.float32)
+        grads = {k: p.grad for k, p in params.items()}
         with pytest.raises(NumericalError, match="'b'"):
             dc.adamw_step(params, state)
+        assert all(p.grad is grads[k] for k, p in params.items())
         assert state.step_count == earlier_steps
         for k, p in params.items():
             np.testing.assert_array_equal(p.data, data[k])
@@ -138,8 +152,10 @@ class TestAdamW:
         data = {k: p.data.copy() for k, p in params.items()}
         m, v, layout = state.m, state.v, list(state.layout)
         moments = (m.copy(), v.copy())
+        grads = {k: p.grad for k, p in params.items()}
         with pytest.raises(ShapeError, match=f"'{name}'"):
             dc.adamw_step(params, state)
+        assert all(p.grad is grads[k] for k, p in params.items())
         assert state.step_count == 2
         assert state.layout == layout
         assert state.m is m and state.v is v

@@ -15,7 +15,7 @@ from ctxseg.augment import AugmentPolicy, swap_word
 from ctxseg.data import (GeneratorConfig, SplitSpec, centroid_side, dice,
                          generate_dataset)
 from ctxseg.diffcore import (AdamWState, adamw_step, backward, bce_with_logits,
-                             load_checkpoint, save_checkpoint, zero_grads)
+                             load_checkpoint, save_checkpoint)
 from ctxseg.errors import DataFormatError, ShapeError
 from ctxseg.model import ModelConfig, init_weights, predict_mask
 from ctxseg.train import (ABLATION_ARMS, TrainConfig, _as_weights, _forward_batch,
@@ -269,7 +269,6 @@ class TestNoPageFaultChurn:
             logits = _forward_batch(weights, [s.image for s in batch],
                                     [s.report for s in batch], cfg, train=True)
             loss = bce_with_logits(logits, targets)
-            zero_grads(weights)
             backward(loss)
             adamw_step(weights, opt)
 
@@ -425,7 +424,8 @@ class TestAblate:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_empty_split_part_raises_before_any_directory(self, tiny_dataset,
                                                           tmp_path, jobs):
-        cfg = tiny_train_config(epochs=1, split=SplitSpec(fractions=(0.8, 0.0, 0.2)))
+        cfg = tiny_train_config(epochs=1,
+                                split=SplitSpec(fractions=(0.95, 0.02, 0.03)))
         with pytest.raises(ValueError, match="leave the validation part of 16 "
                                              "samples empty"):
             ablate({"full": cfg}, tiny_dataset, tmp_path / "out", jobs=jobs)
@@ -551,6 +551,17 @@ class TestWordSwapProbe:
         swaps = [("left", "right"), ("right", "left"), ("left", "right")]
         with pytest.raises(ValueError, match="'left->right' is listed twice"):
             word_swap_probe(init_weights(cfg.model), tiny_dataset, swaps, cfg)
+        assert maxpool2_batches == []
+
+    def test_absent_swap_word_rejected_before_any_forward(self, tiny_dataset,
+                                                          maxpool2_batches):
+        cfg = tiny_train_config()
+        samples = [s for s in tiny_dataset
+                   if swap_word(s.report, "left", "right") != s.report]
+        assert samples
+        swaps = [("left", "right"), ("zebra", "lion")]
+        with pytest.raises(ValueError, match="'zebra->lion' occurs in no report"):
+            word_swap_probe(init_weights(cfg.model), samples, swaps, cfg)
         assert maxpool2_batches == []
 
     def test_empty_target_word_deletes_the_word(self, tiny_dataset):
