@@ -4,9 +4,11 @@ Subcommands: gen-data, train, eval, ablate, probe, viz, predict. Configs are
 one JSON document with sections train/model/augment/split/data plus a top
 level seed; an empty or missing file means all defaults. Dotted --override
 keys (repeatable) are applied last. --override is the one way to set the seed
-and the sample count: `--override seed=3`, `--override data.n=16`. `ablate`
-trains the four arms of train.paper_arms on every fold seed, `--jobs` of
-those (arm, fold) runs at a time.
+and the sample count: `--override seed=3`, `--override data.n=16`. `train`
+writes a checkpoint and its run record, whose "test" entry has the shape of
+`eval`'s eval.json. `ablate` trains the four arms of train.paper_arms on
+every fold seed, `--jobs` of those (arm, fold) runs at a time, and sums the
+folds up in one comparison.json.
 
 Every command takes one path through `run`: load the config once; for the
 commands that take --data, read the dataset once, from --data or else
@@ -236,8 +238,8 @@ def _cmd_gen_data(args, cfg, gen, samples) -> None:
 
 def _cmd_train(args, cfg, gen, samples) -> None:
     record = train(cfg, samples, args.out)
-    print(f"arm={record.ablation} best_epoch={record.best_epoch} "
-          f"test_dice={record.test_dice_mean:.4f} sd={record.test_dice_sd:.4f}")
+    print(f"arm={cfg.ablation} best_epoch={record.best_epoch} "
+          f"test_dice={record.test.mean:.4f} sd={record.test.sd:.4f}")
 
 
 def _cmd_eval(args, cfg, gen, samples) -> None:
@@ -259,8 +261,10 @@ def _cmd_probe(args, cfg, gen, samples) -> None:
     swaps = _parse_swaps(args.swap) or [("left", "right"), ("large", "small")]
     report = word_swap_probe(args.checkpoint, samples, swaps, cfg)
     for key, agg in report["swaps"].items():
+        ratio = agg["mean_area_ratio"]
+        ratio_s = "n/a" if ratio is None else f"{100.0 * ratio:.1f}%"
         print(f"{key}: n={agg['samples']} flip_rate={100.0 * agg['flip_rate']:.1f}% "
-              f"area_ratio={100.0 * agg['mean_area_ratio']:.1f}%")
+              f"area_ratio={ratio_s}")
     if args.out:
         write_json(Path(args.out) / "probe.json", report)
 

@@ -71,24 +71,24 @@ def _check_threshold(value) -> None:
 
 
 @dataclass
-class RunRecord:
-    ablation: str
-    fold_seed: int
-    train_loss: list
-    val_dice: list
-    best_epoch: int
-    test_dice_mean: float
-    test_dice_sd: float
-    test_scores: list
-    checkpoint: str
-    config: dict
-
-
-@dataclass
 class EvalResult:
     mean: float
     sd: float
     scores: list
+
+
+@dataclass
+class RunRecord:
+    """One fold's run. `test` is what `evaluate` gives the selected
+    checkpoint on the fold's test part, and `config["ablation"]` names the
+    arm."""
+    fold_seed: int
+    train_loss: list
+    val_dice: list
+    best_epoch: int
+    test: EvalResult
+    checkpoint: str
+    config: dict
 
 
 def _embed_report(text: str, mc: ModelConfig):
@@ -182,7 +182,9 @@ def train(cfg: TrainConfig, dataset, out_dir, fold_seed: int | None = None
 
     The split comes from data.split_indices, which owns the rule that no part
     is empty: a split that leaves the train, validation or test part empty
-    raises ValueError there, before out_dir is made."""
+    raises ValueError there, before out_dir is made. Writes out_dir's
+    checkpoint.ctxn, the best epoch's weights, and runrecord.json, the
+    returned RunRecord, whose "test" entry has the shape of eval.json."""
     fold_seed = cfg.split.fold_seeds[0] if fold_seed is None else fold_seed
     tr_idx, va_idx, te_idx = split_indices(len(dataset), cfg.split.fractions,
                                            fold_seed)
@@ -230,14 +232,11 @@ def train(cfg: TrainConfig, dataset, out_dir, fold_seed: int | None = None
     test = evaluate(str(ckpt_path), [dataset[i] for i in te_idx], cfg)
 
     record = RunRecord(
-        ablation=cfg.ablation,
         fold_seed=int(fold_seed),
         train_loss=train_losses,
         val_dice=val_dices,
         best_epoch=int(best_epoch),
-        test_dice_mean=test.mean,
-        test_dice_sd=test.sd,
-        test_scores=test.scores,
+        test=test,
         checkpoint=str(ckpt_path),
         config=asdict(cfg),
     )
@@ -270,18 +269,13 @@ def ablate(arms: dict, dataset, out_dir, jobs: int = 1) -> dict:
     each; they import the calling script, so its entry point must sit under
     `if __name__ == "__main__":`. The files do not depend on jobs.
 
-    Writes each arm's cv.json (mean and population SD of its fold test means,
-    and per fold the Dice, SD and best epoch), comparison.csv (arm, fold,
-    dice, sd) and comparison.json (per arm the mean, SD and median of the
-    fold test means, and the mean's delta against the arm named `full`, None
-    without one). Returns {"summary": <comparison.json content>,
+    Besides each fold's own files (see train), writes one summary,
+    comparison.json: per arm the mean, population SD and median of the fold
+    test means, the mean's delta against the arm named `full` (None without
+    one), and `folds`, each fold's seed, test Dice mean and SD, and best
+    epoch. Returns {"summary": <comparison.json content>,
     "results": {name: [RunRecord per fold]}}.
     """
-    # Imported here, not at module level: only ablate uses them, and loading
-    # them (the process pool above all) raised every other command's peak RSS
-    # by about 1.5 MB.
-    import csv
-    import statistics
     if jobs < 1:
         raise ValueError(f"ablate: jobs must be >= 1, got {jobs}")
     if not arms:
@@ -297,6 +291,9 @@ def ablate(arms: dict, dataset, out_dir, jobs: int = 1) -> dict:
     tasks = [(cfg, dataset, out_dir / name / f"fold{k}", fs)
              for name, cfg in arms.items() for k, fs in enumerate(fold_seeds)]
     if jobs > 1:
+        # Imported here, not at module level: only ablate uses the process
+        # pool, and loading it raised every other command's peak RSS by about
+        # 1.5 MB.
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
         # A worker loads numpy, and with it OpenBLAS's thread count, from this
@@ -320,33 +317,42 @@ def ablate(arms: dict, dataset, out_dir, jobs: int = 1) -> dict:
 
     summary = {}
     for arm, recs in results.items():
-        means = [r.test_dice_mean for r in recs]
+        means = [r.test.mean for r in recs]
         summary[arm] = {"mean": float(np.mean(means)), "sd": float(np.std(means)),
-                        "median": float(statistics.median(means))}
-        write_json(out_dir / arm / "cv.json", {
-            "mean": summary[arm]["mean"], "sd": summary[arm]["sd"],
-            "folds": [{"fold_seed": r.fold_seed, "dice": r.test_dice_mean,
-                       "sd": r.test_dice_sd, "best_epoch": r.best_epoch}
-                      for r in recs],
-        })
+                        "median": float(np.median(means)),
+                        "folds": [{"fold_seed": r.fold_seed, "dice": r.test.mean,
+                                   "sd": r.test.sd, "best_epoch": r.best_epoch}
+                                  for r in recs]}
     full_mean = summary["full"]["mean"] if "full" in summary else None
     for row in summary.values():
         row["delta_vs_full"] = (row["mean"] - full_mean
                                 if full_mean is not None else None)
-
-    with open(out_dir / "comparison.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["arm", "fold", "dice", "sd"])
-        for arm, recs in results.items():
-            for k, rec in enumerate(recs):
-                writer.writerow([arm, k, f"{rec.test_dice_mean:.6f}",
-                                 f"{rec.test_dice_sd:.6f}"])
     write_json(out_dir / "comparison.json", summary)
     return {"summary": summary, "results": results}
 
 
 # ---------------------------------------------------------------------------
 # probes
+
+def _swapped_reports(samples, swaps) -> list:
+    """Each sample's report under each (src, dst) swap, as [sample][swap].
+
+    Raises ValueError for an empty source word (see swap_word), a swap listed
+    twice, and a swap whose source word occurs in no report. Two swaps are
+    the same when their source words match in any case, as swap_word
+    matches them, and their target words are equal."""
+    matched = [(src.lower(), dst) for src, dst in swaps]
+    variants = [[swap_word(s.report, src, dst) for src, dst in swaps]
+                for s in samples]
+    for j, (src, dst) in enumerate(swaps):
+        key = f"{src}->{dst}"
+        if matched[j] in matched[:j]:
+            raise ValueError(f"swap {key!r} is listed twice (source words "
+                             "match in any case)")
+        if all(v[j] == s.report for s, v in zip(samples, variants)):
+            raise ValueError(f"swap source word of {key!r} occurs in no report")
+    return variants
+
 
 def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig) -> dict:
     """Re-predict each sample with single words swapped in its report.
@@ -359,22 +365,14 @@ def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig) -> dict:
     takes one `_forward_batch` call, one image under the distinct reports
     its arm reads: on `full` the original and every swap that changes it; on
     `no_text` and `baseline_unet`, which read no report, the original alone,
-    whose prediction serves every variant. An empty swap
-    source word raises ValueError (see swap_word), and so do a swap listed
-    twice and a swap whose source word occurs in no report, before the
-    checkpoint is read.
+    whose prediction serves every variant. The mean area ratio is None when
+    no entry has a predicted pixel to compare with. An empty swap source
+    word, a swap listed twice and a swap whose source word occurs in no
+    report raise ValueError before the checkpoint is read (see
+    _swapped_reports).
     """
-    probes = {}
-    for src, dst in swaps:
-        key = f"{src}->{dst}"
-        if key in probes:
-            raise ValueError(f"swap {key!r} is listed twice")
-        probes[key] = []
-    all_variants = [[swap_word(s.report, src, dst) for src, dst in swaps]
-                    for s in samples]
-    for j, key in enumerate(probes):
-        if all(v[j] == s.report for s, v in zip(samples, all_variants)):
-            raise ValueError(f"swap source word of {key!r} occurs in no report")
+    all_variants = _swapped_reports(samples, swaps)
+    probes = {f"{src}->{dst}": [] for src, dst in swaps}
     weights = _as_weights(checkpoint, cfg.model, cfg.ablation)
     reads_text = cfg.ablation not in ("no_text", "baseline_unet")
     for si, (sample, variants) in enumerate(zip(samples, all_variants)):
@@ -409,11 +407,10 @@ def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig) -> dict:
         flips = sum(e["orig_side"] != e["swapped_side"] for e in sided)
         ratios = [e["area_ratio"] for e in entries if e["area_ratio"] is not None]
         flip_rate = flips / len(sided) if sided else 0.0
-        mean_ratio = float(np.mean(ratios)) if ratios else float("nan")
         report["swaps"][key] = {
             "samples": len(entries),
             "flip_rate": flip_rate,
-            "mean_area_ratio": mean_ratio,
+            "mean_area_ratio": float(np.mean(ratios)) if ratios else None,
             "entries": entries,
         }
     return report
@@ -435,9 +432,11 @@ def attention_dump(checkpoint, sample: Sample, out_dir, cfg: TrainConfig,
     with raw ranges recorded in scales.txt. Both reports run as one batch of
     two over a single encoder pass. A `no_text` model reads both
     variants as the empty report. `baseline_unet`, which has no gate to
-    dump, and a channel outside [0, model.channels[0]) raise ValueError
-    before the checkpoint is read; out_dir is made only once the forward has
-    run, so a checkpoint that does not load leaves no directory.
+    dump, a channel outside [0, model.channels[0]) and a swap that
+    word_swap_probe would refuse for this sample, such as one whose source
+    word is not in its report, raise ValueError before the checkpoint is
+    read; out_dir is made only once the forward has run, so a checkpoint
+    that does not load leaves no directory.
     """
     if cfg.ablation == "baseline_unet":
         raise ValueError("attention_dump: the baseline_unet arm has no "
@@ -446,7 +445,7 @@ def attention_dump(checkpoint, sample: Sample, out_dir, cfg: TrainConfig,
         raise ValueError(f"attention_dump: channel {channel} is outside "
                          f"0..{cfg.model.channels[0] - 1}, the channels of "
                          "every decoder level")
-    texts = [sample.report, swap_word(sample.report, swap[0], swap[1])]
+    texts = [sample.report, *_swapped_reports([sample], [swap])[0]]
     weights = _as_weights(checkpoint, cfg.model, cfg.ablation)
     capture: dict = {}
     _forward_batch(weights, [sample.image], texts, cfg, train=False,

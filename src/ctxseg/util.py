@@ -66,7 +66,9 @@ def rng_from(*vals: int) -> np.random.Generator:
 def write_json(path, doc) -> None:
     """Write doc to path as JSON with indent 2, sorted keys and a trailing
     newline, making the parent directory first. Every JSON artifact of the
-    package goes through here, so all share one format."""
+    package goes through here, so all share one format. A NaN or infinity
+    raises ValueError: JSON has no such constant."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+                    + "\n")

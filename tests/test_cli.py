@@ -1,6 +1,5 @@
 """Command-line entry points, run in-process through `run`."""
 
-import csv
 import json
 import os
 import subprocess
@@ -83,6 +82,9 @@ def test_command_reruns_from_its_own_echo(command, trained, data_dir, tmp_path):
         flags = ["--override", "data.n=4", "--override", "data.image_size=32"]
     else:
         again = ["--checkpoint", str(trained / "checkpoint.ctxn")]
+        if command == "viz":
+            # sample 0 reads "right": the default left:right swap is refused
+            again += ["--swap", "right:left"]
         flags = _with_small_model(again + ["--data", str(data_dir)])
     first, second = tmp_path / "first", tmp_path / "second"
     assert run([command, "--out", str(first)] + flags) == 0
@@ -99,7 +101,8 @@ def test_command_reruns_from_its_own_echo(command, trained, data_dir, tmp_path):
 @pytest.mark.parametrize("command,flags,code", [
     ("eval", ["--override", "model.channels=[4,12]"], 2),
     ("probe", ["--swap", "zzz:yyy"], 1),
-    ("viz", ["--override", "model.channels=[4,12]"], 2),
+    ("viz", ["--swap", "right:left", "--override", "model.channels=[4,12]"], 2),
+    ("viz", ["--swap", "zzz:yyy"], 1),
 ])
 def test_failed_eval_or_probe_leaves_no_out_dir(command, flags, code, trained,
                                                 data_dir, tmp_path, capsys):
@@ -156,12 +159,13 @@ def test_ablate_writes_all_four_arms(data_dir, tmp_path):
             "--override", "train.epochs=1", "--override", "split.fold_seeds=[101]"]
     assert run(_with_small_model(argv)) == 0
     assert (out / "invocation.json").is_file()
-    with open(out / "comparison.csv", newline="") as f:
-        rows = list(csv.DictReader(f))
-    assert [r["arm"] for r in rows] == ["full", "no_text", "flip", "baseline_unet"]
+    summary = json.loads((out / "comparison.json").read_text())
+    assert sorted(summary) == ["baseline_unet", "flip", "full", "no_text"]
+    assert all(len(row["folds"]) == 1 for row in summary.values())
     # the flip arm is the full model under a flipping policy
     flip = json.loads((out / "flip" / "fold0" / "runrecord.json").read_text())
-    assert flip["ablation"] == "full" and flip["config"]["policy"]["p_hflip"] == 0.5
+    assert flip["config"]["ablation"] == "full"
+    assert flip["config"]["policy"]["p_hflip"] == 0.5
 
 
 def test_ablate_with_an_empty_split_part_exits_1_with_no_out_dir(data_dir, tmp_path,
@@ -222,8 +226,8 @@ def test_train_with_an_empty_split_part_exits_1(fractions, part, data_dir, tmp_p
 
 
 def test_import_loads_no_scipy():
-    # only `ablate` needs csv and, at jobs > 1, the process pool: it imports
-    # them itself, so every other command skips their memory
+    # only `ablate` needs the process pool, at jobs > 1: it imports it
+    # itself, so every other command skips its memory
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = ("import sys, ctxseg.cli; "
@@ -258,6 +262,24 @@ def test_probe_with_absent_swap_word_exits_1(tmp_path, capsys):
             "--swap", "zzz:yyy"]
     assert run(_with_small_model(argv)) == 1
     _assert_one_error_line(capsys)
+
+
+def test_probe_that_predicts_no_pixel_writes_strict_json(trained, data_dir, tmp_path,
+                                                          capsys):
+    out = tmp_path / "probe"
+    argv = _with_small_model(["probe", "--checkpoint", str(trained / "checkpoint.ctxn"),
+                              "--data", str(data_dir), "--out", str(out),
+                              "--override", "train.threshold=0.999"])
+    assert run(argv) == 0
+
+    def refuse(name):
+        raise AssertionError(f"probe.json holds {name}, which is not JSON")
+
+    report = json.loads((out / "probe.json").read_text(), parse_constant=refuse)
+    ratios = [agg["mean_area_ratio"] for agg in report["swaps"].values()]
+    assert ratios == [None, None]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(ln.endswith(" area_ratio=n/a") for ln in lines)
 
 
 def test_viz_on_baseline_checkpoint_exits_1(tmp_path, capsys):

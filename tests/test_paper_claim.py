@@ -29,7 +29,7 @@ def test_text_resolves_the_mirrored_twin(tmp_path):
                             base_seed=DATA_SEED)
     cfg = TrainConfig(lr=1e-3, epochs=15, split=SplitSpec(fold_seeds=[FOLD_SEED]))
     results = ablate(paper_arms(cfg), data, tmp_path, jobs=2)["results"]
-    dice = {arm: recs[0].test_dice_mean for arm, recs in results.items()}
+    dice = {arm: recs[0].test.mean for arm, recs in results.items()}
     _, _, test_idx = split_indices(len(data), cfg.split.fractions, FOLD_SEED)
     probe = word_swap_probe(tmp_path / "full" / "fold0" / "checkpoint.ctxn",
                             [data[i] for i in test_idx],

@@ -70,7 +70,7 @@ class TestTrain:
         b = train(cfg, tiny_dataset, tmp_path / "b")
         assert (tmp_path / "a" / "checkpoint.ctxn").read_bytes() == \
                (tmp_path / "b" / "checkpoint.ctxn").read_bytes()
-        assert a.test_dice_mean == b.test_dice_mean
+        assert a.test == b.test
 
     def test_no_text_predictions_ignore_reports(self, tiny_dataset, tmp_path):
         from dataclasses import replace
@@ -349,7 +349,7 @@ class TestCrossValidate:
         again = ablate({"full": cfg}, tiny_dataset, tmp_path / "again")
         for a, b in zip(recs, again["results"]["full"]):
             assert a.fold_seed == b.fold_seed
-            assert a.test_scores == b.test_scores
+            assert a.test.scores == b.test.scores
 
 
 class TestAblate:
@@ -365,12 +365,25 @@ class TestAblate:
         for arm, recs in out["results"].items():
             assert recs[0].config == asdict(arms[arm])
 
-    def test_csv_rows(self, tiny_dataset, tmp_path):
+    def test_comparison_folds_match_the_run_records(self, tiny_dataset, tmp_path):
         cfg = tiny_train_config(epochs=1)
         ablate(paper_arms(cfg), tiny_dataset, tmp_path)
-        lines = (tmp_path / "comparison.csv").read_text().strip().splitlines()
-        assert lines[0] == "arm,fold,dice,sd"
-        assert len(lines) == 1 + 4 * len(cfg.split.fold_seeds)
+        summary = json.loads((tmp_path / "comparison.json").read_text())
+        assert sorted(summary) == ["baseline_unet", "flip", "full", "no_text"]
+        for arm, row in summary.items():
+            recs = [json.loads((tmp_path / arm / f"fold{k}" / "runrecord.json")
+                               .read_text())
+                    for k in range(len(cfg.split.fold_seeds))]
+            assert row["folds"] == [
+                {"fold_seed": r["fold_seed"], "dice": r["test"]["mean"],
+                 "sd": r["test"]["sd"], "best_epoch": r["best_epoch"]}
+                for r in recs]
+            means = [r["test"]["mean"] for r in recs]
+            assert row["mean"] == float(np.mean(means))
+            assert row["sd"] == float(np.std(means))
+            assert row["median"] == statistics.median(means)
+        assert not list(tmp_path.rglob("cv.json"))
+        assert not (tmp_path / "comparison.csv").exists()
 
     def test_delta_vs_full_written(self, tiny_dataset, tmp_path):
         cfg = tiny_train_config(epochs=1)
@@ -385,7 +398,7 @@ class TestAblate:
                 "safe": cfg}
         out = ablate(arms, tiny_dataset, tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "comparison.csv", "comparison.json", "none", "safe"]
+            "comparison.json", "none", "safe"]
         summary = json.loads((tmp_path / "comparison.json").read_text())
         assert summary == out["summary"]
         assert [row["delta_vs_full"] for row in summary.values()] == [None, None]
@@ -413,8 +426,8 @@ class TestAblate:
                            for p in one_dir.rglob("*") if p.is_file())
             assert files == sorted(p.relative_to(two_dir)
                                    for p in two_dir.rglob("*") if p.is_file())
-            # comparison.csv and .json; per arm cv.json and 2 folds of 2 files
-            assert len(files) == 2 + len(arms) * (1 + 2 * 2)
+            # comparison.json; per arm 2 folds of 2 files
+            assert len(files) == 1 + len(arms) * 2 * 2
             for rel in files:
                 # a run record names its own checkpoint path
                 one, two = ((d / rel).read_bytes().replace(bytes(d), b"")
@@ -553,6 +566,24 @@ class TestWordSwapProbe:
             word_swap_probe(init_weights(cfg.model), tiny_dataset, swaps, cfg)
         assert maxpool2_batches == []
 
+    @pytest.mark.parametrize("again", [("LEFT", "right"), ("Left", "right")])
+    def test_swap_repeated_in_another_case_rejected(self, tiny_dataset,
+                                                    maxpool2_batches, again):
+        # swap_word matches the source word in any case, so both are one swap
+        cfg = tiny_train_config()
+        swaps = [("left", "right"), again]
+        key = "->".join(again)
+        with pytest.raises(ValueError, match=f"'{key}' is listed twice"):
+            word_swap_probe(init_weights(cfg.model), tiny_dataset, swaps, cfg)
+        assert maxpool2_batches == []
+
+    def test_target_words_of_another_case_are_two_swaps(self, tiny_dataset):
+        # swap_word writes the target word as given
+        cfg = tiny_train_config()
+        swaps = [("left", "right"), ("left", "RIGHT")]
+        rep = word_swap_probe(init_weights(cfg.model), tiny_dataset, swaps, cfg)
+        assert list(rep["swaps"]) == ["left->right", "left->RIGHT"]
+
     def test_absent_swap_word_rejected_before_any_forward(self, tiny_dataset,
                                                           maxpool2_batches):
         cfg = tiny_train_config()
@@ -601,6 +632,18 @@ class TestAttentionDump:
         for orig in origs:
             swap = orig.replace("_orig.pgm", "_swap.pgm")
             assert Path(orig).read_bytes() == Path(swap).read_bytes()
+
+    def test_absent_swap_word_rejected_before_any_forward(self, tiny_dataset,
+                                                          maxpool2_batches,
+                                                          tmp_path):
+        # the swap maps would repeat the original maps
+        cfg = tiny_train_config()
+        sample = next(s for s in tiny_dataset if "left" not in s.report.lower())
+        with pytest.raises(ValueError,
+                           match="swap source word of 'left->right' occurs in no report"):
+            attention_dump(init_weights(cfg.model), sample, tmp_path / "viz", cfg)
+        assert maxpool2_batches == []
+        assert not (tmp_path / "viz").exists()
 
     def test_baseline_raises_before_reading_the_checkpoint(self, tiny_dataset,
                                                            tmp_path):
