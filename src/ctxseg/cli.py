@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import AugmentPolicy
+from .augment import AugmentPolicy, swap_word
 from .data import (GeneratorConfig, SplitSpec, decode_image, dice,
                    generate_dataset, read_dataset, read_pgm, write_dataset,
                    write_pgm)
@@ -203,7 +203,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--swap", default="left:right", metavar="FROM:TO")
+    p.add_argument("--swap", metavar="FROM:TO",
+                   help="default: the report's side word, left or right, "
+                   "for the other")
     p.add_argument("--channel", type=int, default=0)
 
     p = common(sub.add_parser("predict", help="segment one image"),
@@ -257,14 +259,16 @@ def _cmd_ablate(args, cfg, gen, samples) -> None:
         print(f"{arm}: dice={row['mean']:.4f} sd={row['sd']:.4f}{delta_s}")
 
 
+def _percent(share) -> str:
+    return "n/a" if share is None else f"{100.0 * share:.1f}%"
+
+
 def _cmd_probe(args, cfg, gen, samples) -> None:
     swaps = _parse_swaps(args.swap) or [("left", "right"), ("large", "small")]
     report = word_swap_probe(args.checkpoint, samples, swaps, cfg)
     for key, agg in report["swaps"].items():
-        ratio = agg["mean_area_ratio"]
-        ratio_s = "n/a" if ratio is None else f"{100.0 * ratio:.1f}%"
-        print(f"{key}: n={agg['samples']} flip_rate={100.0 * agg['flip_rate']:.1f}% "
-              f"area_ratio={ratio_s}")
+        print(f"{key}: n={agg['samples']} flip_rate={_percent(agg['flip_rate'])} "
+              f"area_ratio={_percent(agg['mean_area_ratio'])}")
     if args.out:
         write_json(Path(args.out) / "probe.json", report)
 
@@ -272,9 +276,17 @@ def _cmd_probe(args, cfg, gen, samples) -> None:
 def _cmd_viz(args, cfg, gen, samples) -> None:
     if not 0 <= args.index < len(samples):
         raise CliUsageError(f"--index {args.index} outside dataset of {len(samples)}")
-    src, dst = _parse_swaps([args.swap])[0]
-    files = attention_dump(args.checkpoint, samples[args.index], args.out, cfg,
-                           swap=(src, dst), channel=args.channel)
+    sample = samples[args.index]
+    if args.swap is not None:
+        swap = _parse_swaps([args.swap])[0]
+    elif (swap_word(sample.report, "left", "right") == sample.report
+          and swap_word(sample.report, "right", "left") != sample.report):
+        swap = ("right", "left")
+    else:
+        # left -> right, which a report with no side word refuses
+        swap = ("left", "right")
+    files = attention_dump(args.checkpoint, sample, args.out, cfg, swap=swap,
+                           channel=args.channel)
     print(f"wrote {len(files)} maps to {args.out}")
 
 

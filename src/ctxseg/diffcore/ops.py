@@ -9,13 +9,19 @@ serves the forward and the input gradient, a gather of the zero-led output
 gradient at each tap's negated shift. The graph holds no padded copy: the
 weight gradient pads the input again from the arrays its producers hold.
 `conv2d` is that conv alone. `conv_bn_relu` is conv -> batch norm -> ReLU
-as one graph node: batch norm normalizes the conv's output in place, and the
-backward works in place on one masked copy of the output gradient, which it
-hands straight to the conv's. `matmul` adds an optional bias row, so a
-projection is one node. `attention_gate` is the pixel side of the text gate
-as one node, computed channel-major, (N, C, H*W) queries against (N, L, H*W)
-logits, so nothing is transposed and its softmax reduces across token rows;
-its backward recomputes the projected queries rather than holding them.
+as one graph node. In train mode batch norm normalizes the conv's output in
+place. In eval mode it is one per-channel epilogue that `_conv` applies in
+place of its bias add, y = relu(S * taps + T) with S = gamma / sqrt(
+running_var + eps) and T = beta + (bias - running_mean) * S: three passes
+over the output and one buffer. The backward works in place on one masked
+copy of the output gradient, which it hands straight to the conv's. `matmul`
+adds an optional bias row, so a projection is one node. `attention_gate` is
+the pixel side of the text gate as one node, computed item by item and
+channel-major, (C, H*W) queries against (rows, H*W) logits, so nothing is
+transposed and its softmax reduces across token rows. An item's trailing
+run of r token rows equal in key and value (a report's padding) is read as
+one row whose logit gains log r, exact in real arithmetic. Its backward
+recomputes the projected queries rather than holding them.
 
 The in-place paths and the recomputed values do the same arithmetic in the
 same order as allocating and keeping a fresh array for every intermediate,
@@ -120,18 +126,34 @@ def matmul(a: DiffTensor, b: DiffTensor, bias: DiffTensor | None = None
 # ---------------------------------------------------------------------------
 # attention
 
+def _kept_rows(k: np.ndarray, v: np.ndarray) -> int:
+    """How many rows of one item's (l, c) keys and values the gate reads:
+    the trailing run of rows whose key and value both equal the last row's
+    (the padding tokens) counts as one row."""
+    same = (k[:-1] == k[-1]).all(axis=1) & (v[:-1] == v[-1]).all(axis=1)
+    breaks = np.flatnonzero(~same)
+    return int(breaks[-1]) + 2 if breaks.size else 1
+
+
 def attention_gate(q: DiffTensor, wq_w: DiffTensor, wq_b: DiffTensor,
                    keys: DiffTensor, values: DiffTensor) -> DiffTensor:
     """The (n, c, h, w) text gate tanh(V^T softmax_l(K (Wq^T q + bq) / sqrt(c)))
     of NCHW features q against each item's report tokens.
 
     wq_w (c, c) is an (in, out) query projection with bias wq_b (c,); keys
-    and values are (n, l, c), one row per token. Forward and backward
-    keep q as (n, c, h*w) and the logits as (n, l, h*w), so the softmax
-    reduces across the l token rows over contiguous pixel runs. The graph
-    holds the softmax weights and the gate, not the projected queries:
-    backward recomputes Wq^T q + bq, the same GEMM in the same order, when
-    the keys need their gradient. NumericalError if a logit is not finite.
+    and values are (n, l, c), one row per token. The gate works item by
+    item, so an item's output depends on that item alone. In each item the
+    trailing run of r rows whose key and value both equal the last row's
+    (a report's padding) is read as that one row with log r added to its
+    logit, which is exact in real arithmetic: a report of T tokens costs
+    T + 1 rows, not l. Backward hands each row of the run 1/r of the merged
+    row's key and value gradients. A run in keys alone, or in values alone,
+    is not merged. Forward and backward keep an item's queries as (c, h*w)
+    and its logits as (rows, h*w), so the softmax reduces across the token
+    rows over contiguous pixel runs. The graph holds each item's softmax
+    weights and the gate, not the projected queries: backward recomputes
+    Wq^T q + bq, the same GEMM in the same order, when the keys need their
+    gradient. NumericalError if a logit is not finite.
     """
     if q.data.ndim != 4:
         raise ShapeError(f"attention_gate: q must be NCHW, got {q.data.shape}")
@@ -148,35 +170,59 @@ def attention_gate(q: DiffTensor, wq_w: DiffTensor, wq_b: DiffTensor,
     inv_sqrt_c = 1.0 / math.sqrt(c)
     qf = q.data.reshape(n, c, h * w)
 
-    def project():
-        qp = wq_w.data.T @ qf                              # (n, c, h*w)
+    def project(i):
+        qp = wq_w.data.T @ qf[i]                           # (c, h*w)
         qp += wq_b.data[:, None]
         return qp
 
-    a = keys.data @ project()                              # (n, l, h*w)
-    a *= inv_sqrt_c
-    top = a.max(axis=1, keepdims=True)
-    # max and min both propagate NaN, so these two see every non-finite logit
-    if not (np.isfinite(top).all() and np.isfinite(a.min())):
-        raise NumericalError("non-finite values in cross-attention logits")
-    a -= top
-    np.exp(a, out=a)
-    a /= a.sum(axis=1, keepdims=True)                      # attention weights
-    gate = np.tanh(values.data.transpose(0, 2, 1) @ a)     # (n, c, h*w)
+    weights = []                                           # (rows kept, h*w) each
+    gate = np.empty((n, c, h * w), dtype=qf.dtype)
+    for i in range(n):
+        m = _kept_rows(keys.data[i], values.data[i])
+        a = keys.data[i, :m] @ project(i)
+        a *= inv_sqrt_c
+        if m < sk[1]:
+            a[-1] += math.log(sk[1] - m + 1)
+        top = a.max(axis=0, keepdims=True)
+        # max and min both propagate NaN, so these two see every non-finite logit
+        if not (np.isfinite(top).all() and np.isfinite(a.min())):
+            raise NumericalError("non-finite values in cross-attention logits")
+        a -= top
+        np.exp(a, out=a)
+        a /= a.sum(axis=0, keepdims=True)                  # attention weights
+        np.matmul(values.data[i, :m].T, a, out=gate[i])
+        weights.append(a)
+    np.tanh(gate, out=gate)
+
+    def spread(dst, g):
+        # an item's (l, c) gradient from its (m, c) one: the merged last row's
+        # is shared out equally over the run of rows it stands for
+        m = len(g)
+        dst[:m] = g
+        dst[m - 1:] = g[-1] / (len(dst) - m + 1)
 
     def back():
         gm = gate * gate
         np.subtract(1.0, gm, out=gm)
         gm *= out.grad.reshape(n, c, h * w)
-        if values.requires_grad:
-            values.accum_grad(a @ gm.transpose(0, 2, 1))
-        gs = values.data @ gm                              # (n, l, h*w)
-        gs -= (gs * a).sum(axis=1, keepdims=True)
-        gs *= a
-        gs *= inv_sqrt_c                                   # d(loss)/d(K qp)
-        if keys.requires_grad:
-            keys.accum_grad(gs @ project().transpose(0, 2, 1))
-        gqp = keys.data.transpose(0, 2, 1) @ gs            # (n, c, h*w)
+        gqp = np.empty_like(gm)                            # (n, c, h*w)
+        gk = np.empty_like(keys.data) if keys.requires_grad else None
+        gv = np.empty_like(values.data) if values.requires_grad else None
+        for i, a in enumerate(weights):
+            m = len(a)
+            if gv is not None:
+                spread(gv[i], a @ gm[i].T)
+            gs = values.data[i, :m] @ gm[i]                # (m, h*w)
+            gs -= (gs * a).sum(axis=0, keepdims=True)
+            gs *= a
+            gs *= inv_sqrt_c                               # d(loss)/d(K qp)
+            if gk is not None:
+                spread(gk[i], gs @ project(i).T)
+            np.matmul(keys.data[i, :m].T, gs, out=gqp[i])
+        if gv is not None:
+            values.accum_grad(gv)
+        if gk is not None:
+            keys.accum_grad(gk)
         wq_b.accum_grad(gqp.sum(axis=(0, 2)))
         wq_w.accum_grad((qf @ gqp.transpose(0, 2, 1)).sum(axis=0))
         if q.requires_grad:
@@ -215,13 +261,19 @@ def _tap_sum(mats, src: np.ndarray, starts, out: np.ndarray) -> None:
 
 
 def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str,
-          skip: DiffTensor | None = None):
+          skip: DiffTensor | None = None, epilogue=None):
     """Stride-1 cross-correlation of NCHW `x` with an odd k x k OIHW kernel,
     zero-padded by k // 2 so height and width are kept, plus bias. A `skip`
     of x's batch and size is padded into the same buffer, after x's channels.
+    An `epilogue`, a pair of per-channel arrays (scale, shift), takes the
+    bias add's place: y = scale * taps + shift, where taps is the sum of the
+    kernel taps without the bias. The bias is then the caller's to fold
+    into shift, and its gradient is still the sum of g.
 
-    Returns (y, back): back(g) accumulates the gradients of x, skip, weight
-    and bias for output gradient g, and is None when none of them needs one.
+    Returns (y, taps, back): taps is a view of the tap sum, and back(g)
+    accumulates the gradients of x, skip, weight and bias for output
+    gradient g (the gradient of taps + bias), and is None when none of them
+    needs one.
     Runs one GEMM per kernel tap on the padded input flattened to (N, Cin,
     Hp*Wp): output position p on the padded-width grid reads tap (di, dj) at
     flat index p + di*Wp + dj, so each tap is a contiguous slice, and
@@ -277,10 +329,16 @@ def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str,
     dtype = xf.dtype
     yd = np.empty((n, cout, h * wp), dtype=dtype)
     _tap_sum(wt, xf, offs, yd[:, :, :span])
-    y = yd.reshape(n, cout, h, wp)[:, :, :, :w] + bias.data[None, :, None, None]
+    taps = yd.reshape(n, cout, h, wp)[:, :, :, :w]
+    if epilogue is None:
+        y = taps + bias.data[None, :, None, None]
+    else:
+        scale, shift = epilogue
+        y = taps * scale[None, :, None, None]
+        y += shift[None, :, None, None]
     input_grad = x.requires_grad or (skip is not None and skip.requires_grad)
     if not (input_grad or weight.requires_grad or bias.requires_grad):
-        return y, None
+        return y, taps, None
     lead = offs[-1]                                 # (k-1)(wp+1)
 
     def back(g):
@@ -305,7 +363,7 @@ def _conv(x: DiffTensor, weight: DiffTensor, bias: DiffTensor, op: str,
         if skip is not None:
             skip.accum_grad(gx[:, cx:])
 
-    return y, back
+    return y, taps, back
 
 
 def conv2d(x: DiffTensor, weight: DiffTensor, bias: DiffTensor) -> DiffTensor:
@@ -314,7 +372,7 @@ def conv2d(x: DiffTensor, weight: DiffTensor, bias: DiffTensor) -> DiffTensor:
     height and width. The model calls it only for its 1x1 logit head; every
     other conv is a `conv_bn_relu` sublayer.
     """
-    y, back = _conv(x, weight, bias, "conv2d")
+    y, _, back = _conv(x, weight, bias, "conv2d")
     out = DiffTensor._node(y, (x, weight, bias), lambda: back(out.grad))
     return out
 
@@ -333,27 +391,51 @@ def conv_bn_relu(x: DiffTensor, weight: DiffTensor, bias: DiffTensor,
 
     The conv is `conv2d`'s; a decoder sublayer passes the encoder `skip`,
     which the conv reads as channels after x's. Batch normalization is per
-    channel. Train mode normalizes with the batch statistics and updates
-    the running buffers in place as running <- 0.9 * running + 0.1 * batch;
-    eval mode reads the running buffers only. Variances are population
-    (biased) in both modes, and eps is 1e-5. Backward masks the output
-    gradient where the ReLU clamped, takes it through batch normalization
-    and hands the result straight to the conv's gradient.
+    channel. Train mode normalizes the conv's output with the batch
+    statistics and updates the running buffers in place as running <- 0.9 *
+    running + 0.1 * batch; variances are population (biased), and eps is
+    1e-5. Eval mode reads the running buffers only, as one per-channel
+    epilogue on the conv's tap sum: y = relu(S * taps + T), with S =
+    gamma / sqrt(running_var + eps) and T = beta + (bias - running_mean) * S,
+    whether or not a graph is recorded. Backward masks the output gradient
+    where the ReLU clamped, takes it through batch normalization and hands
+    the result straight to the conv's gradient; in eval mode it recomputes
+    the normalized conv output, (taps + bias - running_mean) / sqrt(
+    running_var + eps), from the tap sum the graph keeps.
     """
-    z, conv_back = _conv(x, weight, bias, "conv_bn_relu", skip)
-    n, c, h, w = z.shape
+    channels = weight.data.shape[:1]
     for name, t in (("gamma", gamma), ("beta", beta),
                     ("running_mean", running_mean), ("running_var", running_var)):
-        if t.data.shape != (c,):
-            raise ShapeError(f"conv_bn_relu: {name} shape {t.data.shape} != ({c},)")
+        if t.data.shape != channels:
+            raise ShapeError(f"conv_bn_relu: {name} shape {t.data.shape} != {channels}")
+    if not train:
+        inv = 1.0 / np.sqrt(running_var.data + _BN_EPS)
+        scale = gamma.data * inv
+        shift = beta.data + (bias.data - running_mean.data) * scale
+        y, taps, conv_back = _conv(x, weight, bias, "conv_bn_relu", skip,
+                                   (scale, shift))
+        np.maximum(y, 0, out=y)
 
-    m = n * h * w
-    xhat = z                          # normalized in place: z is not read again
-    if train:
+        def back():
+            go = out.grad * (out.data > 0)
+            if gamma.requires_grad:
+                xhat = taps + bias.data[None, :, None, None]
+                xhat -= running_mean.data[None, :, None, None]
+                xhat *= inv[None, :, None, None]
+                gamma.accum_grad((go * xhat).sum(axis=(0, 2, 3)))
+            beta.accum_grad(go.sum(axis=(0, 2, 3)))
+            if conv_back is not None:
+                go *= scale[None, :, None, None]
+                conv_back(go)
+    else:
+        z, _, conv_back = _conv(x, weight, bias, "conv_bn_relu", skip)
+        n, c, h, w = z.shape
+        m = n * h * w
         if m < 2:
             raise ShapeError(
                 "conv_bn_relu train mode needs at least 2 values per channel "
                 f"(got batch*H*W = {m})")
+        xhat = z                      # normalized in place: z is not read again
         mean = z.mean(axis=(0, 2, 3))
         xhat -= mean[None, :, None, None]
         # numpy's var, bit for bit: the squared deviations from the mean
@@ -364,33 +446,27 @@ def conv_bn_relu(x: DiffTensor, weight: DiffTensor, bias: DiffTensor,
                                 + _BN_MOMENTUM * mean)
         running_var.data[:] = ((1.0 - _BN_MOMENTUM) * running_var.data
                                + _BN_MOMENTUM * var)
-    else:
-        mean, var = running_mean.data, running_var.data
-        xhat -= mean[None, :, None, None]
-        y = np.empty_like(xhat)
+        inv = (1.0 / np.sqrt(var + _BN_EPS))[None, :, None, None]
+        xhat *= inv
+        np.multiply(gamma.data[None, :, None, None], xhat, out=y)
+        y += beta.data[None, :, None, None]
+        np.maximum(y, 0, out=y)
 
-    inv = (1.0 / np.sqrt(var + _BN_EPS))[None, :, None, None]
-    xhat *= inv
-    np.multiply(gamma.data[None, :, None, None], xhat, out=y)
-    y += beta.data[None, :, None, None]
-    np.maximum(y, 0, out=y)
-
-    def back():
-        # out.grad stays as handed in; everything below works on go
-        go = out.grad * (out.data > 0)
-        prod = go * xhat
-        sum_gx = prod.sum(axis=(0, 2, 3))
-        sum_g = go.sum(axis=(0, 2, 3))
-        gamma.accum_grad(sum_gx)
-        beta.accum_grad(sum_g)
-        if conv_back is None:
-            return
-        if train:
+        def back():
+            # out.grad stays as handed in; everything below works on go
+            go = out.grad * (out.data > 0)
+            prod = go * xhat
+            sum_gx = prod.sum(axis=(0, 2, 3))
+            sum_g = go.sum(axis=(0, 2, 3))
+            gamma.accum_grad(sum_gx)
+            beta.accum_grad(sum_g)
+            if conv_back is None:
+                return
             # numpy's mean is this sum over the count, bitwise
             go -= (sum_g / m)[None, :, None, None]
             go -= np.multiply(xhat, (sum_gx / m)[None, :, None, None], out=prod)
-        go *= gamma.data[None, :, None, None] * inv
-        conv_back(go)
+            go *= gamma.data[None, :, None, None] * inv
+            conv_back(go)
 
     inputs = (x,) if skip is None else (x, skip)
     out = DiffTensor._node(y, (*inputs, weight, bias, gamma, beta), back)

@@ -155,8 +155,9 @@ def cross_attention(q_feat: DiffTensor, embs: list, weights: dict, level: int,
     T = E Wt + bt, keys T Wk + bk and values T Wv + bv, all (n, l, c), each
     one `matmul` with its bias. One `attention_gate` node lets every pixel of
     Q attend over all l of its own item's tokens, padding included (scaled
-    dot product, softmax across the l tokens), and squashes the value mix
-    through tanh; the gate then multiplies Q elementwise. `capture` receives
+    dot product, softmax across the l tokens; the padding run is read as one
+    row of weight r, which is exact), and squashes the value mix through
+    tanh; the gate then multiplies Q elementwise. `capture` receives
     the input, tanh gate and output maps of every item, as (n, c, h, w)
     arrays under "q", "tanh_a" and "qstar".
     """

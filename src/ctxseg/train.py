@@ -148,10 +148,14 @@ def evaluate(checkpoint, samples, cfg: TrainConfig,
              threshold: float | None = None) -> EvalResult:
     """Eval-mode Dice over samples: mean, population SD, per-sample scores.
 
-    The forward runs `cfg.batch_size` samples at a time, so it holds no more
-    activations than a train step. Every eval-mode op works per item, so the
-    scores do not depend on the batch size. `threshold` defaults to
-    `cfg.threshold`; outside (0, 1) it raises ValueError."""
+    The forward runs `cfg.batch_size` samples at a time and records no
+    graph, so it holds no more activations than a train step. It pays only
+    for inference: each conv sublayer's batch norm is one per-channel
+    epilogue from the running statistics, and the text gate reads a
+    report's padding as one token row (see diffcore.ops). Every eval-mode
+    op works per item, so the scores do not depend on the batch size.
+    `threshold` defaults to `cfg.threshold`; outside (0, 1) it raises
+    ValueError."""
     if not samples:
         raise ValueError("evaluate needs at least one sample")
     if threshold is None:
@@ -360,8 +364,10 @@ def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig) -> dict:
     For every (src, dst) swap and every sample whose report contains src,
     records centroid sides before/after (None within 1 px of the axis, see
     data.centroid_side), the predicted-area ratio, and the IoU between the
-    two predictions; aggregates flip rate, over the entries sided both
-    times, and mean area ratio per swap, as fractions. Each probed sample
+    two predictions; aggregates per swap the count of entries sided both
+    times, the flip rate over those entries and the mean area ratio, as
+    fractions. The flip rate is None when no entry is sided both times, so
+    that a rate that measured nothing does not read as 0. Each probed sample
     takes one `_forward_batch` call, one image under the distinct reports
     its arm reads: on `full` the original and every swap that changes it; on
     `no_text` and `baseline_unet`, which read no report, the original alone,
@@ -406,10 +412,10 @@ def word_swap_probe(checkpoint, samples, swaps, cfg: TrainConfig) -> dict:
                  if e["orig_side"] is not None and e["swapped_side"] is not None]
         flips = sum(e["orig_side"] != e["swapped_side"] for e in sided)
         ratios = [e["area_ratio"] for e in entries if e["area_ratio"] is not None]
-        flip_rate = flips / len(sided) if sided else 0.0
         report["swaps"][key] = {
             "samples": len(entries),
-            "flip_rate": flip_rate,
+            "sided": len(sided),
+            "flip_rate": flips / len(sided) if sided else None,
             "mean_area_ratio": float(np.mean(ratios)) if ratios else None,
             "entries": entries,
         }

@@ -211,10 +211,12 @@ def _tap_gemm_reference(a, b):
     return a * b if a.shape[-1] == 1 else a @ b
 
 
-def _conv_reference(x, weight, bias, skip=None):
+def _conv_reference(x, weight, bias, skip=None, epilogue=None):
     """Stride-1 "same" conv of NCHW x (and skip, as channels after x's) with
-    an odd OIHW kernel, one GEMM per tap added into a zeroed output.
-    Returns (y, back) as `ctxseg.diffcore.ops._conv` does."""
+    an odd OIHW kernel, one GEMM per tap added into a zeroed output, plus
+    bias, or times scale plus shift for an `epilogue` (scale, shift).
+    Returns (y, tap_sum, back) as `ctxseg.diffcore.ops._conv` returns its
+    (y, taps, back)."""
     n, cx, h, w = x.data.shape
     cin = cx if skip is None else cx + skip.data.shape[1]
     cout, _, k, _ = weight.data.shape
@@ -234,10 +236,15 @@ def _conv_reference(x, weight, bias, skip=None):
     yd = np.zeros((n, cout, h * wp), dtype=xp.dtype)
     for di, dj, off in taps:
         yd[:, :, :span] += _tap_gemm_reference(wt[di, dj], xf[:, :, off:off + span])
-    y = yd.reshape(n, cout, h, wp)[:, :, :, :w] + bias.data[None, :, None, None]
+    tap_sum = yd.reshape(n, cout, h, wp)[:, :, :, :w]
+    if epilogue is None:
+        y = tap_sum + bias.data[None, :, None, None]
+    else:
+        scale, shift = epilogue
+        y = tap_sum * scale[None, :, None, None] + shift[None, :, None, None]
     input_grad = x.requires_grad or (skip is not None and skip.requires_grad)
     if not (input_grad or weight.requires_grad or bias.requires_grad):
-        return y, None
+        return y, tap_sum, None
 
     def back(g):
         bias.accum_grad(g.sum(axis=(0, 2, 3)))
@@ -258,11 +265,11 @@ def _conv_reference(x, weight, bias, skip=None):
             if skip is not None:
                 skip.accum_grad(gx[:, cx:])
 
-    return y, back
+    return y, tap_sum, back
 
 
 def conv2d_reference(x, weight, bias):
-    y, back = _conv_reference(x, weight, bias)
+    y, _, back = _conv_reference(x, weight, bias)
     out = DiffTensor._node(y, (x, weight, bias), lambda: back(out.grad))
     return out
 
@@ -270,41 +277,50 @@ def conv2d_reference(x, weight, bias):
 def conv_bn_relu_reference(x, weight, bias, gamma, beta, running_mean,
                            running_var, train, skip=None):
     """relu(batchnorm(conv(x))) with numpy's mean and var for the batch
-    statistics, momentum 0.1 and eps 1e-5."""
-    z, conv_back = _conv_reference(x, weight, bias, skip)
-    n, c, h, w = z.shape
-    if train:
+    statistics, momentum 0.1 and eps 1e-5. Eval mode is the conv's tap sum
+    times S plus T, S = gamma / sqrt(running_var + eps) and T = beta +
+    (bias - running_mean) * S; its backward recomputes the normalized conv
+    output from the tap sum."""
+    if not train:
+        inv = 1.0 / np.sqrt(running_var.data + 1e-5)
+        s = gamma.data * inv
+        t = beta.data + (bias.data - running_mean.data) * s
+        y, tap_sum, conv_back = _conv_reference(x, weight, bias, skip, (s, t))
+        y = np.maximum(y, 0)
+
+        def back():
+            go = out.grad * (out.data > 0)
+            c = (None, slice(None), None, None)
+            xhat = (tap_sum + bias.data[c] - running_mean.data[c]) * inv[c]
+            gamma.accum_grad((go * xhat).sum(axis=(0, 2, 3)))
+            beta.accum_grad(go.sum(axis=(0, 2, 3)))
+            if conv_back is not None:
+                conv_back(s[c] * go)
+    else:
+        z, _, conv_back = _conv_reference(x, weight, bias, skip)
+        n, c, h, w = z.shape
         mean = z.mean(axis=(0, 2, 3))
         var = z.var(axis=(0, 2, 3))
         running_mean.data[:] = 0.9 * running_mean.data + 0.1 * mean
         running_var.data[:] = 0.9 * running_var.data + 0.1 * var
-    else:
-        mean = running_mean.data
-        var = running_var.data
-    inv = (1.0 / np.sqrt(var + 1e-5))[None, :, None, None]
-    xhat = z
-    xhat -= mean[None, :, None, None]
-    xhat *= inv
-    y = gamma.data[None, :, None, None] * xhat
-    y += beta.data[None, :, None, None]
-    np.maximum(y, 0, out=y)
+        inv = (1.0 / np.sqrt(var + 1e-5))[None, :, None, None]
+        xhat = (z - mean[None, :, None, None]) * inv
+        y = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+        y = np.maximum(y, 0)
 
-    def back():
-        go = out.grad * (out.data > 0)
-        sum_gx = (go * xhat).sum(axis=(0, 2, 3))
-        sum_g = go.sum(axis=(0, 2, 3))
-        gamma.accum_grad(sum_gx)
-        beta.accum_grad(sum_g)
-        if conv_back is None:
-            return
-        gi = gamma.data[None, :, None, None] * inv
-        if train:
+        def back():
+            go = out.grad * (out.data > 0)
+            sum_gx = (go * xhat).sum(axis=(0, 2, 3))
+            sum_g = go.sum(axis=(0, 2, 3))
+            gamma.accum_grad(sum_gx)
+            beta.accum_grad(sum_g)
+            if conv_back is None:
+                return
+            gi = gamma.data[None, :, None, None] * inv
             m = n * h * w
             mg = (sum_g / m)[None, :, None, None]
             mgx = (sum_gx / m)[None, :, None, None]
             conv_back(gi * (go - mg - xhat * mgx))
-        else:
-            conv_back(gi * go)
 
     inputs = (x,) if skip is None else (x, skip)
     out = DiffTensor._node(y, (*inputs, weight, bias, gamma, beta), back)
@@ -312,31 +328,50 @@ def conv_bn_relu_reference(x, weight, bias, gamma, beta, running_mean,
 
 
 def attention_gate_reference(q, wq_w, wq_b, keys, values):
-    """tanh(V^T softmax_l(K (Wq^T q + bq) / sqrt(c))), channel-major."""
+    """tanh(V^T softmax_l(K (Wq^T q + bq) / sqrt(c))), channel-major, one item
+    at a time. An item's trailing run of r rows that equal its last row in
+    both key and value is that one row with log r added to its logit, and
+    each row of the run gets 1/r of that row's gradient."""
     n, c, h, w = q.data.shape
+    count = keys.data.shape[1]
     inv_sqrt_c = 1.0 / math.sqrt(c)
     qf = q.data.reshape(n, c, h * w)
-    qp = wq_w.data.T @ qf + wq_b.data[:, None]
-    a = keys.data @ qp
-    a *= inv_sqrt_c
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("non-finite values in cross-attention logits")
-    a -= a.max(axis=1, keepdims=True)
-    np.exp(a, out=a)
-    a /= a.sum(axis=1, keepdims=True)
-    gate = np.tanh(values.data.transpose(0, 2, 1) @ a)
+    items = []
+    for i in range(n):
+        k, v = keys.data[i], values.data[i]
+        m = count
+        while (m > 1 and np.array_equal(k[m - 2], k[-1])
+               and np.array_equal(v[m - 2], v[-1])):
+            m -= 1
+        qp = wq_w.data.T @ qf[i] + wq_b.data[:, None]
+        a = (k[:m] @ qp) * inv_sqrt_c
+        if m < count:
+            a[-1] += math.log(count - m + 1)
+        if not np.all(np.isfinite(a)):
+            raise NumericalError("non-finite values in cross-attention logits")
+        a = np.exp(a - a.max(axis=0, keepdims=True))
+        a = a / a.sum(axis=0, keepdims=True)
+        items.append((m, qp, a))
+    gate = np.tanh(np.stack([values.data[i, :m].T @ a
+                             for i, (m, _, a) in enumerate(items)]))
+
+    def spread(g):
+        m = g.shape[0]
+        return np.concatenate(
+            [g[:-1], np.repeat(g[-1:] / (count - m + 1), count - m + 1, axis=0)])
 
     def back():
         gm = out.grad.reshape(n, c, h * w) * (1.0 - gate * gate)
-        if values.requires_grad:
-            values.accum_grad(a @ gm.transpose(0, 2, 1))
-        ga = values.data @ gm
-        gs = ga - (ga * a).sum(axis=1, keepdims=True)
-        gs *= a
-        gs *= inv_sqrt_c
-        if keys.requires_grad:
-            keys.accum_grad(gs @ qp.transpose(0, 2, 1))
-        gqp = keys.data.transpose(0, 2, 1) @ gs
+        gv, gk, gqp = [], [], []
+        for i, (m, qp, a) in enumerate(items):
+            gv.append(spread(a @ gm[i].T))
+            ga = values.data[i, :m] @ gm[i]
+            gs = (ga - (ga * a).sum(axis=0, keepdims=True)) * a * inv_sqrt_c
+            gk.append(spread(gs @ qp.T))
+            gqp.append(keys.data[i, :m].T @ gs)
+        gqp = np.stack(gqp)
+        values.accum_grad(np.stack(gv))
+        keys.accum_grad(np.stack(gk))
         wq_b.accum_grad(gqp.sum(axis=(0, 2)))
         wq_w.accum_grad((qf @ gqp.transpose(0, 2, 1)).sum(axis=0))
         if q.requires_grad:

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from ctxseg.cli import _build_parser, run
 from ctxseg.data import (GeneratorConfig, encode_image, generate_dataset,
-                         read_pgm, write_dataset, write_pgm)
+                         read_dataset, read_pgm, write_dataset, write_pgm)
 from ctxseg.diffcore import save_checkpoint
 from ctxseg.model import ModelConfig, init_weights
 
@@ -83,7 +84,7 @@ def test_command_reruns_from_its_own_echo(command, trained, data_dir, tmp_path):
     else:
         again = ["--checkpoint", str(trained / "checkpoint.ctxn")]
         if command == "viz":
-            # sample 0 reads "right": the default left:right swap is refused
+            # sample 0 reads "right"; the echo holds no --swap, so both runs pass it
             again += ["--swap", "right:left"]
         flags = _with_small_model(again + ["--data", str(data_dir)])
     first, second = tmp_path / "first", tmp_path / "second"
@@ -280,6 +281,50 @@ def test_probe_that_predicts_no_pixel_writes_strict_json(trained, data_dir, tmp_
     assert ratios == [None, None]
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and all(ln.endswith(" area_ratio=n/a") for ln in lines)
+
+
+def test_probe_with_no_sided_entry_writes_null_flip_rate(data_dir, tmp_path, capsys):
+    # at 0.999 a two-epoch model predicts no pixel, so no entry has a side
+    run_dir = tmp_path / "run"
+    assert run(_with_small_model(["train", "--data", str(data_dir), "--out", str(run_dir),
+                                  "--override", "train.epochs=2"])) == 0
+    out = tmp_path / "probe"
+    argv = _with_small_model(["probe", "--checkpoint", str(run_dir / "checkpoint.ctxn"),
+                              "--data", str(data_dir), "--out", str(out),
+                              "--override", "train.threshold=0.999"])
+    capsys.readouterr()
+    assert run(argv) == 0
+    report = json.loads((out / "probe.json").read_text())
+    assert [(agg["sided"], agg["flip_rate"]) for agg in report["swaps"].values()] == [
+        (0, None), (0, None)]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(" flip_rate=n/a " in ln for ln in lines)
+
+
+def test_viz_swaps_the_reports_own_side_word_by_default(trained, data_dir, tmp_path,
+                                                        capsys):
+    report = read_dataset(data_dir)[0].report.split()
+    assert "right" in report and "left" not in report
+    out = tmp_path / "viz"
+    argv = _with_small_model(["viz", "--checkpoint", str(trained / "checkpoint.ctxn"),
+                              "--data", str(data_dir), "--out", str(out)])
+    assert run(argv) == 0
+    assert len(list(out.glob("*.pgm"))) == 12
+    assert capsys.readouterr().out.strip() == f"wrote 12 maps to {out}"
+
+
+def test_viz_of_a_report_with_no_side_word_exits_1(tmp_path, capsys):
+    data = tmp_path / "data"
+    sample = generate_dataset(GeneratorConfig(n=1, image_size=32), base_seed=5)[0]
+    write_dataset([replace(sample, report="large pneumothorax.")], data)
+    ckpt = tmp_path / "full.ctxn"
+    save_checkpoint(ckpt, init_weights(SMALL_MC))
+    argv = ["viz", "--checkpoint", str(ckpt), "--data", str(data),
+            "--out", str(tmp_path / "viz")]
+    assert run(_with_small_model(argv)) == 1
+    line = _assert_one_error_line(capsys)
+    assert "swap source word of 'left->right' occurs in no report" in line
+    assert not (tmp_path / "viz").exists()
 
 
 def test_viz_on_baseline_checkpoint_exits_1(tmp_path, capsys):

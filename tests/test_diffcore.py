@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ctxseg.diffcore as dc
-from ctxseg.diffcore import DiffTensor, backward, tensor
+from ctxseg.diffcore import DiffTensor, backward, ops, tensor
 from ctxseg.diffcore.ops import _conv
 from ctxseg.errors import GraphError, NumericalError, ShapeError
 
@@ -512,10 +512,10 @@ class TestConvBnReluSkip:
         # nothing needs a gradient, so the conv returns no closure to hold
         # its padded input
         x, skip, w, b = (DiffTensor(a) for a in _decoder_sublayer(rng)[:4])
-        _, back = _conv(x, w, b, "conv_bn_relu", skip)
+        _, _, back = _conv(x, w, b, "conv_bn_relu", skip)
         assert back is None
-        _, back = _conv(x, DiffTensor(w.data, requires_grad=True), b,
-                        "conv_bn_relu", skip)
+        _, _, back = _conv(x, DiffTensor(w.data, requires_grad=True), b,
+                           "conv_bn_relu", skip)
         assert back is not None
 
 
@@ -588,6 +588,26 @@ class TestBitwiseAgainstReferences:
                     np.testing.assert_array_equal(t.data, start.astype(np.float32))
 
     @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("case", sorted(SUBLAYERS))
+    def test_eval_bits_do_not_depend_on_a_recorded_graph(self, rng, case, batch):
+        cx, cskip, _ = SUBLAYERS[case]
+        arrays = [rng.standard_normal((batch, cx, 6, 9)),
+                  rng.standard_normal((5, cx + cskip, 3, 3)),
+                  rng.standard_normal(5), rng.uniform(0.5, 1.5, 5),
+                  rng.standard_normal(5), 0.5 * rng.standard_normal(5),
+                  rng.uniform(0.5, 2.0, 5)]
+        skip = rng.standard_normal((batch, cskip, 6, 9)) if cskip else None
+        outs = []
+        for graph in (False, True):
+            ts = [DiffTensor(a, requires_grad=graph and k < 5)
+                  for k, a in enumerate(arrays)]
+            sk = None if skip is None else DiffTensor(skip, requires_grad=graph)
+            out = dc.conv_bn_relu(*ts, False, sk)
+            assert bool(out._parents) == graph
+            outs.append(out.data)
+        np.testing.assert_array_equal(outs[0], outs[1])
+
+    @pytest.mark.parametrize("batch", [1, 4])
     def test_conv2d_head(self, rng, batch):
         arrays = {"x": rng.standard_normal((batch, 4, 6, 9)),
                   "weight": rng.standard_normal((1, 4, 1, 1)),
@@ -601,6 +621,15 @@ class TestBitwiseAgainstReferences:
         arrays = dict(zip(names, _gate_inputs(rng, n=batch, c=4, hw=(3, 5), l=6)))
         _assert_bitwise(_forward_backward(dc.attention_gate, arrays),
                         _forward_backward(attention_gate_reference, arrays))
+        # each item ends in a run of 3 rows; at batch 4 the last item is one
+        # run of all 6
+        with_run = dict(arrays, keys=_with_trailing_run(arrays["keys"], 3),
+                        values=_with_trailing_run(arrays["values"], 3))
+        if batch > 1:
+            for k in ("keys", "values"):
+                with_run[k][-1] = with_run[k][-1, :1]
+        _assert_bitwise(_forward_backward(dc.attention_gate, with_run),
+                        _forward_backward(attention_gate_reference, with_run))
 
 
 class TestOutputGradientOwnership:
@@ -792,6 +821,14 @@ def _gate_inputs(rng, n=2, c=3, hw=(2, 3), l=4):
             rng.standard_normal((n, l, c)))
 
 
+def _with_trailing_run(rows, r):
+    """A copy of (n, l, c) `rows` whose last r rows in every item repeat the
+    first of them."""
+    out = rows.copy()
+    out[:, -r:] = out[:, -r, None]
+    return out
+
+
 def softmax_gate(q):
     """attention_gate over (n, l, h, w) q with c = l channels, an identity
     query projection, keys sqrt(l) I and identity values: the logits are q
@@ -871,10 +908,15 @@ def attention_gate_loops(q, wq_w, wq_b, keys, values):
 
 class TestAttentionGate:
     def test_matches_per_pixel_oracle(self, verify64, rng):
-        arrays = _gate_inputs(rng, hw=(3, 5))
-        got = dc.attention_gate(*(DiffTensor(a) for a in arrays)).data
-        np.testing.assert_allclose(got, attention_gate_loops(*arrays),
-                                   rtol=1e-10, atol=1e-12)
+        # the oracle reads every token row; the second case's last 4 rows
+        # of each item are one run, which the gate reads as one row
+        q, wq_w, wq_b, keys, values = _gate_inputs(rng, hw=(3, 5), l=6)
+        for kv in ((keys, values),
+                   (_with_trailing_run(keys, 4), _with_trailing_run(values, 4))):
+            arrays = (q, wq_w, wq_b, *kv)
+            got = dc.attention_gate(*(DiffTensor(a) for a in arrays)).data
+            np.testing.assert_allclose(got, attention_gate_loops(*arrays),
+                                       rtol=1e-10, atol=1e-12)
 
     def test_gradients(self, verify64, rng):
         names = ("q", "wq_w", "wq_b", "keys", "values")
@@ -886,6 +928,38 @@ class TestAttentionGate:
         assert {c.param for c in report.checks} == set(names)
         for c in report.checks:
             assert c.rel_err < 1e-6, c
+
+    def test_trailing_run_rows_share_the_merged_gradient(self, verify64, rng):
+        # the last 3 token rows of each item are equal in key and value, so
+        # the gate reads them as one row; every coordinate of keys and
+        # values is checked, each run row's included
+        q, wq_w, wq_b, keys, values = _gate_inputs(rng, l=6)
+        params = {"keys": DiffTensor(_with_trailing_run(keys, 3), requires_grad=True),
+                  "values": DiffTensor(_with_trailing_run(values, 3),
+                                       requires_grad=True)}
+        fixed = [DiffTensor(a) for a in (q, wq_w, wq_b)]
+        assert [ops._kept_rows(params["keys"].data[i], params["values"].data[i])
+                for i in range(2)] == [4, 4]
+        report = finite_diff_check(
+            lambda: proj_loss(dc.attention_gate(*fixed, *params.values())), params,
+            eps=1e-5, num_coords=2 * keys.size)
+        assert len(report.checks) == 2 * keys.size
+        for c in report.checks:
+            assert c.rel_err < 1e-6, c
+        for t in params.values():
+            # the three run rows of an item get equal shares
+            np.testing.assert_array_equal(t.grad[:, -3:], t.grad[:, -1:].repeat(3, 1))
+
+    @pytest.mark.parametrize("part", ["keys", "values"])
+    def test_run_in_one_of_keys_and_values_is_not_merged(self, verify64, rng, part):
+        arrays = dict(zip(("q", "wq_w", "wq_b", "keys", "values"),
+                          _gate_inputs(rng, hw=(3, 5), l=6)))
+        arrays[part] = _with_trailing_run(arrays[part], 3)
+        assert [ops._kept_rows(arrays["keys"][i], arrays["values"][i])
+                for i in range(2)] == [6, 6]
+        got = dc.attention_gate(*(DiffTensor(a) for a in arrays.values())).data
+        np.testing.assert_allclose(got, attention_gate_loops(*arrays.values()),
+                                   rtol=1e-10, atol=1e-12)
 
     def test_one_node_over_the_gate_inputs(self, rng):
         inputs = [DiffTensor(a, requires_grad=True) for a in _gate_inputs(rng)]

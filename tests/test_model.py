@@ -190,16 +190,19 @@ class TestCrossAttention:
     BATCH_REPORTS = ("left pneumothorax.", "large right basal pneumothorax is seen.", "")
 
     def test_batch_matches_per_item_oracle(self, verify64, rng):
-        cfg = tiny_config()
-        w = init_weights(cfg)
-        for name, t in w.items():           # nonzero biases too
-            if name.startswith("xattn1."):
-                t.data[:] = 0.5 * rng.standard_normal(t.data.shape)
-        embs = [make_emb(text, cfg) for text in self.BATCH_REPORTS]
-        q = rng.standard_normal((3, 4, 6, 5))
-        got = cross_attention(DiffTensor(q), embs, w, 1).data
-        want = cross_attention_direct(q, embs, {k: t.data for k, t in w.items()}, 1)
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        # at 8 token rows the 7-token report has no padding run to merge; at
+        # 32 every report has one, and the oracle attends over all 32 rows
+        for max_tokens in (8, 32):
+            cfg = tiny_config(max_tokens=max_tokens)
+            w = init_weights(cfg)
+            for name, t in w.items():           # nonzero biases too
+                if name.startswith("xattn1."):
+                    t.data[:] = 0.5 * rng.standard_normal(t.data.shape)
+            embs = [make_emb(text, cfg) for text in self.BATCH_REPORTS]
+            q = rng.standard_normal((3, 4, 6, 5))
+            got = cross_attention(DiffTensor(q), embs, w, 1).data
+            want = cross_attention_direct(q, embs, {k: t.data for k, t in w.items()}, 1)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_other_items_report_leaves_item_bitwise_unchanged(self, rng):
         cfg = tiny_config()

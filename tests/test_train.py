@@ -490,22 +490,30 @@ class TestWordSwapProbe:
             word_swap_probe(rec.checkpoint, tiny_dataset[:2],
                             [("zebra", "lion")], cfg)
 
+    # at 0.5 this one-epoch model's masks straddle the axis, so no entry is
+    # sided and the flip rate measures nothing; at 0.55 every entry is sided
+    SIDED_THRESHOLD = 0.55
+
     def test_aggregates_hold_fractions(self, tiny_dataset, tmp_path):
-        cfg = tiny_train_config(epochs=1)
+        cfg = tiny_train_config(epochs=1, threshold=self.SIDED_THRESHOLD)
         rec = train(cfg, tiny_dataset, tmp_path)
         rep = word_swap_probe(rec.checkpoint, tiny_dataset, [("left", "right")],
                               cfg)
         agg = rep["swaps"]["left->right"]
-        assert set(agg) == {"samples", "flip_rate", "mean_area_ratio", "entries"}
+        assert set(agg) == {"samples", "sided", "flip_rate", "mean_area_ratio",
+                            "entries"}
+        assert 0 < agg["sided"] <= agg["samples"]
         assert 0.0 <= agg["flip_rate"] <= 1.0
 
     def test_no_text_probe_ignores_swaps(self, tiny_dataset, tmp_path):
-        cfg = tiny_train_config(epochs=1, ablation="no_text")
+        cfg = tiny_train_config(epochs=1, ablation="no_text",
+                                threshold=self.SIDED_THRESHOLD)
         rec = train(cfg, tiny_dataset, tmp_path)
         rep = word_swap_probe(rec.checkpoint, tiny_dataset, [("left", "right")],
                               cfg)
         agg = rep["swaps"]["left->right"]
         assert all(e["iou"] == 1.0 for e in agg["entries"])
+        assert agg["sided"] > 0
         assert agg["flip_rate"] == 0.0
 
     SWAPS = [("left", "right"), ("right", "left"), ("apical", "basal")]
