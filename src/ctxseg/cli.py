@@ -17,6 +17,12 @@ write `invocation.json` there. That echo holds the config sections the
 command reads, the dataset directory it read, and a top-level "command" name
 that loading skips, so `--config run/invocation.json` repeats the run.
 
+This module owns the command line alone: it parses flags and the config
+document, dispatches each command to the library, prints what comes back,
+writes the echo and maps errors to exit codes. Every other rule lives in the
+library: data.py reads and writes image and mask files and checks their bit
+depth, and train.py runs one-image inference and picks viz's default swap.
+
 Exit codes: 0 success; 1 usage or config error, or any other invalid value
 (a ValueError, e.g. a swap word no report contains, or viz on an arm without
 cross-attention); 2 data, shape or IO error; 3 numerical failure. Each error
@@ -32,16 +38,14 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
-
-from .augment import AugmentPolicy, swap_word
-from .data import (GeneratorConfig, SplitSpec, decode_image, dice,
-                   generate_dataset, read_dataset, read_pgm, write_dataset,
-                   write_pgm)
+from .augment import AugmentPolicy
+from .data import (GeneratorConfig, SplitSpec, dice, generate_dataset,
+                   read_dataset, read_image, read_mask, write_dataset,
+                   write_mask)
 from .errors import ConfigError, DataFormatError, NumericalError, ShapeError
 from .model import ModelConfig
 from .train import (TrainConfig, ablate, attention_dump, evaluate, paper_arms,
-                    train, word_swap_probe)
+                    predict, train, word_swap_probe)
 from .util import write_json
 
 _SECTIONS = {
@@ -98,9 +102,9 @@ def load_config(path, overrides=()):
     the first step of the one path that `run` takes for every command.
 
     Each section's dataclass checks its own values, and data.dir, when set,
-    must be a string. Returns (TrainConfig, GeneratorConfig, data_dir or None,
-    echo_dict); `run` sets the echo's data.dir to the dataset it read, and
-    writes the echo once the command has succeeded.
+    must be a string. Returns (TrainConfig, GeneratorConfig, data_dir or
+    None), from which `_write_echo` builds the echo once the command has
+    succeeded.
     """
     doc = {}
     if path:
@@ -149,21 +153,21 @@ def load_config(path, overrides=()):
     data_dir = doc.get("data", {}).get("dir")
     if data_dir is not None and not isinstance(data_dir, str):
         raise ConfigError(f"data.dir must be a string, got {data_dir!r}")
-
-    echo = {"seed": cfg.seed, "train": {k: getattr(cfg, k) for k in _TRAIN_SCALARS},
-            "model": asdict(model), "augment": asdict(policy),
-            "split": asdict(split),
-            "data": {**asdict(gen), **({"dir": data_dir} if data_dir else {})}}
-    return cfg, gen, data_dir, echo
+    return cfg, gen, data_dir
 
 
-def _write_echo(out_dir, command, echo) -> None:
-    """invocation.json: the sections of `echo` that `command` reads. Only
-    gen-data reads the generator config; it reads no other section."""
+def _write_echo(out_dir, command, cfg, gen, data_dir) -> None:
+    """invocation.json: the config sections that `command` reads, with
+    data_dir, the dataset it read, as data.dir. Only gen-data reads the
+    generator config; it reads no other section."""
+    data = {"dir": data_dir} if data_dir else {}
     if command == "gen-data":
-        doc = {"seed": echo["seed"], "data": echo["data"]}
+        doc = {"seed": cfg.seed, "data": {**asdict(gen), **data}}
     else:
-        doc = {**echo, "data": {k: v for k, v in echo["data"].items() if k == "dir"}}
+        doc = {"seed": cfg.seed,
+               "train": {k: getattr(cfg, k) for k in _TRAIN_SCALARS},
+               "model": asdict(cfg.model), "augment": asdict(cfg.policy),
+               "split": asdict(cfg.split), "data": data}
     write_json(Path(out_dir) / "invocation.json", {"command": command, **doc})
 
 
@@ -213,7 +217,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True, help="16-bit PGM image")
     p.add_argument("--report", default="", help="report text")
-    p.add_argument("--truth", help="reference mask PGM for a Dice printout")
+    p.add_argument("--truth", help="reference 8-bit mask PGM for a Dice printout")
     p.add_argument("--mask-out", help="where to write the predicted mask PGM")
     return parser
 
@@ -276,37 +280,21 @@ def _cmd_probe(args, cfg, gen, samples) -> None:
 def _cmd_viz(args, cfg, gen, samples) -> None:
     if not 0 <= args.index < len(samples):
         raise CliUsageError(f"--index {args.index} outside dataset of {len(samples)}")
-    sample = samples[args.index]
-    if args.swap is not None:
-        swap = _parse_swaps([args.swap])[0]
-    elif (swap_word(sample.report, "left", "right") == sample.report
-          and swap_word(sample.report, "right", "left") != sample.report):
-        swap = ("right", "left")
-    else:
-        # left -> right, which a report with no side word refuses
-        swap = ("left", "right")
-    files = attention_dump(args.checkpoint, sample, args.out, cfg, swap=swap,
-                           channel=args.channel)
+    swap = _parse_swaps([args.swap])[0] if args.swap is not None else None
+    files = attention_dump(args.checkpoint, samples[args.index], args.out, cfg,
+                           swap=swap, channel=args.channel)
     print(f"wrote {len(files)} maps to {args.out}")
 
 
 def _cmd_predict(args, cfg, gen, samples) -> None:
-    from .model import predict_mask
-    from .train import _as_weights, _forward_batch
-
-    raw, maxval = read_pgm(args.image)
-    if maxval != 65535:
-        raise DataFormatError(f"{args.image}: predict expects a 16-bit image PGM")
-    image = decode_image(raw)
-    weights = _as_weights(args.checkpoint, cfg.model, cfg.ablation)
-    logits = _forward_batch(weights, [image], [args.report], cfg, train=False)
-    mask = predict_mask(logits, cfg.threshold)[0, 0]
+    image = read_image(args.image)
+    truth = read_mask(args.truth) if args.truth else None
+    mask = predict(args.checkpoint, image, args.report, cfg)
     if args.mask_out:
-        write_pgm(args.mask_out, mask * np.uint8(255), 255)
+        write_mask(args.mask_out, mask)
     print(f"predicted {int(mask.sum())} positive pixels")
-    if args.truth:
-        t_raw, _ = read_pgm(args.truth)
-        print(f"dice={dice(mask, (t_raw > 127).astype(np.uint8)):.4f}")
+    if truth is not None:
+        print(f"dice={dice(mask, truth):.4f}")
 
 
 _COMMANDS = {
@@ -323,17 +311,16 @@ _COMMANDS = {
 def run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg, gen, data_dir, echo = load_config(args.config, args.override)
+        cfg, gen, data_dir = load_config(args.config, args.override)
         samples = None
         if hasattr(args, "data"):
-            path = args.data or data_dir
-            if not path:
+            data_dir = args.data or data_dir
+            if not data_dir:
                 raise CliUsageError("no dataset directory: pass --data or set data.dir")
-            samples = read_dataset(path)
-            echo["data"]["dir"] = path
+            samples = read_dataset(data_dir)
         _COMMANDS[args.command](args, cfg, gen, samples)
         if args.out:
-            _write_echo(args.out, args.command, echo)
+            _write_echo(args.out, args.command, cfg, gen, data_dir)
         return 0
     except (CliUsageError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -288,6 +288,33 @@ def decode_image(raw: np.ndarray) -> np.ndarray:
     return (raw.astype(np.float32) / np.float32(65535.0))
 
 
+# An image file is a 16-bit PGM of the image times 65535; a mask file is an
+# 8-bit PGM, 255 inside the mask and 0 outside. These three functions are the
+# only readers and writers of either, so each bit depth is checked once.
+
+def read_image(path) -> np.ndarray:
+    """The (H, W) float32 image in [0, 1] of a 16-bit PGM; DataFormatError,
+    naming the file, for any other depth."""
+    raw, maxval = read_pgm(path)
+    if maxval != 65535:
+        raise DataFormatError(f"{path}: image must be a 16-bit PGM")
+    return decode_image(raw)
+
+
+def read_mask(path) -> np.ndarray:
+    """The (H, W) uint8 {0, 1} mask of an 8-bit PGM, 1 above 127;
+    DataFormatError, naming the file, for any other depth."""
+    raw, maxval = read_pgm(path)
+    if maxval != 255:
+        raise DataFormatError(f"{path}: mask must be an 8-bit PGM")
+    return (raw > 127).astype(np.uint8)
+
+
+def write_mask(path, mask: np.ndarray) -> None:
+    """Write a {0, 1} mask as the 8-bit PGM that read_mask reads back."""
+    write_pgm(path, mask.astype(np.uint8) * 255, 255)
+
+
 # ---------------------------------------------------------------------------
 # dataset directories
 
@@ -300,8 +327,7 @@ def write_dataset(samples, out_dir, meta: dict | None = None) -> None:
     for i, smp in enumerate(samples):
         sid = f"{i:06d}"
         write_pgm(out_dir / "images" / f"{sid}.pgm", encode_image(smp.image), 65535)
-        write_pgm(out_dir / "masks" / f"{sid}.pgm",
-                  (smp.mask.astype(np.uint8) * 255), 255)
+        write_mask(out_dir / "masks" / f"{sid}.pgm", smp.mask)
         lines.append(json.dumps({
             "id": sid,
             "image": f"images/{sid}.pgm",
@@ -315,8 +341,10 @@ def write_dataset(samples, out_dir, meta: dict | None = None) -> None:
 
 
 def read_dataset(dir_path) -> list:
-    """DataFormatError names the manifest line of a malformed file, or of an
-    image or mask sized unlike the first image."""
+    """The samples of a write_dataset directory. DataFormatError names the
+    manifest line of a malformed record, or of an image or mask sized unlike
+    the first image, and the file of an image or mask of the wrong bit depth
+    (see read_image and read_mask)."""
     dir_path = Path(dir_path)
     manifest = dir_path / "manifest.jsonl"
     if not manifest.exists():
@@ -331,18 +359,15 @@ def read_dataset(dir_path) -> list:
             if not isinstance(rec["report"], str):
                 raise DataFormatError(f"manifest line {lineno}: report must be "
                                       f"a string, got {rec['report']!r}")
-            raw_img, maxval = read_pgm(dir_path / rec["image"])
-            if maxval != 65535:
-                raise DataFormatError(f"{rec['image']}: image must be 16-bit")
-            raw_mask, _ = read_pgm(dir_path / rec["mask"])
-            size = samples[0].image.shape if samples else raw_img.shape
-            if raw_img.shape != size or raw_mask.shape != size:
+            image = read_image(dir_path / rec["image"])
+            mask = read_mask(dir_path / rec["mask"])
+            size = samples[0].image.shape if samples else image.shape
+            if image.shape != size or mask.shape != size:
                 raise DataFormatError(
-                    f"manifest line {lineno}: image {raw_img.shape} and mask "
-                    f"{raw_mask.shape} must both match the first image's {size}")
+                    f"manifest line {lineno}: image {image.shape} and mask "
+                    f"{mask.shape} must both match the first image's {size}")
             samples.append(Sample(
-                image=decode_image(raw_img),
-                mask=(raw_mask > 127).astype(np.uint8),
+                image=image, mask=mask,
                 report=rec["report"],
                 attrs=attrs,
                 seed=int(rec["seed"]),

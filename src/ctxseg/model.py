@@ -246,7 +246,7 @@ def unet_forward(image, weights: dict, cfg: ModelConfig,
     return _updown(image, None, weights, cfg, train, None)
 
 
-def predict_mask(logits, threshold: float = 0.5) -> np.ndarray:
+def predict_mask(logits, threshold: float) -> np.ndarray:
     """Binarize logits: sigmoid(z) strictly above threshold."""
     z = logits.data if isinstance(logits, DiffTensor) else np.asarray(logits)
     return (dc.sigmoid_np(z) > threshold).astype(np.uint8)

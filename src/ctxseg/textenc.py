@@ -10,6 +10,7 @@ id), so embeddings never train and never change between runs.
 
 from __future__ import annotations
 
+import re
 import string
 from functools import lru_cache
 
@@ -19,23 +20,10 @@ from .util import fnv1a_str
 
 PAD_ID = 0
 VOCAB_MODULUS = 2 ** 20
-_PUNCT = set(string.punctuation)
-
-
-def _split_punct(word: str):
-    """Split leading/trailing/inner punctuation into standalone tokens."""
-    out, run = [], []
-    for ch in word:
-        if ch in _PUNCT:
-            if run:
-                out.append("".join(run))
-                run = []
-            out.append(ch)
-        else:
-            run.append(ch)
-    if run:
-        out.append("".join(run))
-    return out
+# a token is one ASCII punctuation character, or a run of characters that
+# are neither punctuation nor whitespace
+_PUNCT = re.escape(string.punctuation)
+_TOKEN = re.compile(rf"[{_PUNCT}]|[^\s{_PUNCT}]+")
 
 
 def token_id(token: str) -> int:
@@ -53,9 +41,7 @@ def tokenize(text: str, max_tokens: int) -> list:
     and punctuation, truncated, then padded with PAD_ID."""
     if max_tokens < 1:
         raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
-    tokens = []
-    for word in text.lower().split():
-        tokens.extend(_split_punct(word))
+    tokens = _TOKEN.findall(text.lower())
     ids = [token_id(t) for t in tokens[:max_tokens]]
     return ids + [PAD_ID] * (max_tokens - len(ids))
 

@@ -1,4 +1,5 @@
-"""Training loop, the cross-validated ablation battery, probes, and dumps.
+"""Training loop, evaluation and one-image inference, the cross-validated
+ablation battery, probes, and dumps.
 
 A run is a pure function of (config, dataset): shuffling, augmentation, and
 initialization all derive from the config seeds, so rerunning a config
@@ -174,6 +175,14 @@ def evaluate(checkpoint, samples, cfg: TrainConfig,
     mean = float(np.mean(scores))
     sd = float(np.std(scores))
     return EvalResult(mean=mean, sd=sd, scores=scores)
+
+
+def predict(checkpoint, image, report: str, cfg: TrainConfig) -> np.ndarray:
+    """The (H, W) uint8 mask that cfg's arm predicts for one (H, W) image and
+    its report at cfg.threshold: evaluate's eval-mode forward at batch 1."""
+    weights = _as_weights(checkpoint, cfg.model, cfg.ablation)
+    logits = _forward_batch(weights, [image], [report], cfg, train=False)
+    return predict_mask(logits, cfg.threshold)[0, 0]
 
 
 def _snapshot(weights: dict) -> dict:
@@ -429,15 +438,18 @@ def _to_u8(arr: np.ndarray) -> np.ndarray:
 
 
 def attention_dump(checkpoint, sample: Sample, out_dir, cfg: TrainConfig,
-                   swap=("left", "right"), channel: int = 0) -> list:
+                   swap=None, channel: int = 0) -> list:
     """Write per-level PGM images of the gate's inputs and outputs.
 
-    For the original report and the word-swapped one, dumps the attention
-    input feature map, the tanh-activated attention map, and the gated
-    feature map at one fixed channel per decoder level, min-max normalized
-    with raw ranges recorded in scales.txt. Both reports run as one batch of
-    two over a single encoder pass. A `no_text` model reads both
-    variants as the empty report. `baseline_unet`, which has no gate to
+    `swap` is one (src, dst) word swap. By default it swaps the report's own
+    side word: "right" for "left" when the report holds "right" and no
+    "left", otherwise "left" for "right", which a report with no side word
+    refuses. For the original report and the swapped one, dumps the
+    attention input feature map, the tanh-activated attention map, and the
+    gated feature map at one fixed channel per decoder level, min-max
+    normalized with raw ranges recorded in scales.txt. Both reports run as
+    one batch of two over a single encoder pass. A `no_text` model reads
+    both variants as the empty report. `baseline_unet`, which has no gate to
     dump, a channel outside [0, model.channels[0]) and a swap that
     word_swap_probe would refuse for this sample, such as one whose source
     word is not in its report, raise ValueError before the checkpoint is
@@ -451,6 +463,10 @@ def attention_dump(checkpoint, sample: Sample, out_dir, cfg: TrainConfig,
         raise ValueError(f"attention_dump: channel {channel} is outside "
                          f"0..{cfg.model.channels[0] - 1}, the channels of "
                          "every decoder level")
+    if swap is None:
+        left, right = (swap_word(sample.report, w, "") != sample.report
+                       for w in ("left", "right"))
+        swap = ("right", "left") if right and not left else ("left", "right")
     texts = [sample.report, *_swapped_reports([sample], [swap])[0]]
     weights = _as_weights(checkpoint, cfg.model, cfg.ablation)
     capture: dict = {}

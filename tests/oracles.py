@@ -11,6 +11,7 @@ for bit.
 """
 
 import math
+import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,6 +116,27 @@ def dice_counters(a, b):
     if both == 0:
         return 1.0
     return 2.0 * inter / both
+
+
+def tokens_loops(text):
+    """The report tokenizer's token strings, word by word: the lowercased
+    text split on whitespace, then each word's ASCII punctuation characters
+    split off as tokens of their own."""
+    punct = set(string.punctuation)
+    out = []
+    for word in text.lower().split():
+        run = []
+        for ch in word:
+            if ch in punct:
+                if run:
+                    out.append("".join(run))
+                    run = []
+                out.append(ch)
+            else:
+                run.append(ch)
+        if run:
+            out.append("".join(run))
+    return out
 
 
 def cross_attention_direct(q, token_mats, weights, level):

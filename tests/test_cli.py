@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 from ctxseg.cli import _build_parser, run
-from ctxseg.data import (GeneratorConfig, encode_image, generate_dataset,
-                         read_dataset, read_pgm, write_dataset, write_pgm)
+from ctxseg.data import (GeneratorConfig, dice, encode_image, generate_dataset,
+                         read_dataset, read_image, read_mask, read_pgm,
+                         write_dataset, write_pgm)
 from ctxseg.diffcore import save_checkpoint
 from ctxseg.model import ModelConfig, init_weights
+from ctxseg.train import TrainConfig, predict
 
 SMALL_MODEL = ["model.channels=[4,8]", "model.bottleneck=16", "model.d_e=8",
                "model.max_tokens=16"]
@@ -251,6 +253,38 @@ def test_predict_on_baseline_checkpoint(tmp_path):
     assert run(_with_small_model(argv)) == 0
     mask, maxval = read_pgm(tmp_path / "mask.pgm")
     assert maxval == 255 and mask.shape == (32, 32)
+
+
+def test_predict_writes_the_mask_that_train_predict_returns(trained, data_dir,
+                                                            tmp_path, capsys):
+    ckpt = str(trained / "checkpoint.ctxn")
+    sample = read_dataset(data_dir)[3]
+    image, truth = data_dir / "images" / "000003.pgm", data_dir / "masks" / "000003.pgm"
+    argv = ["predict", "--checkpoint", ckpt, "--image", str(image),
+            "--report", sample.report, "--truth", str(truth),
+            "--mask-out", str(tmp_path / "mask.pgm")]
+    assert run(_with_small_model(argv)) == 0
+    mask = predict(ckpt, read_image(image), sample.report,
+                   TrainConfig(model=SMALL_MC))
+    assert 0 < mask.sum() < mask.size
+    written, maxval = read_pgm(tmp_path / "mask.pgm")
+    assert maxval == 255
+    assert written.tobytes() == (mask * 255).tobytes()
+    assert capsys.readouterr().out.splitlines() == [
+        f"predicted {int(mask.sum())} positive pixels",
+        f"dice={dice(mask, read_mask(truth)):.4f}"]
+
+
+def test_predict_with_a_16_bit_truth_exits_2_naming_it(trained, data_dir, tmp_path,
+                                                        capsys):
+    # read as a mask, the 16-bit image would give a Dice against nonsense
+    image = data_dir / "images" / "000003.pgm"
+    argv = ["predict", "--checkpoint", str(trained / "checkpoint.ctxn"),
+            "--image", str(image), "--truth", str(image),
+            "--mask-out", str(tmp_path / "mask.pgm")]
+    assert run(_with_small_model(argv)) == 2
+    assert f"{image}: mask must be an 8-bit PGM" in _assert_one_error_line(capsys)
+    assert not (tmp_path / "mask.pgm").exists()
 
 
 def test_probe_with_absent_swap_word_exits_1(tmp_path, capsys):

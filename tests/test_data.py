@@ -180,6 +180,17 @@ class TestDatasetIO:
                            match="manifest line 2: report must be a string, got 5"):
             read_dataset(tmp_path / "d")
 
+    @pytest.mark.parametrize("kind,maxval", [("images", 255), ("masks", 65535)])
+    def test_file_of_the_wrong_bit_depth_names_the_file(self, tmp_path, kind, maxval):
+        # a 0/1 mask at 16 bits would read as an empty mask
+        samples = generate_dataset(GeneratorConfig(n=2, image_size=32), 1)
+        write_dataset(samples, tmp_path / "d")
+        path = tmp_path / "d" / kind / "000001.pgm"
+        write_pgm(path, samples[1].mask, maxval)
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"{path}: {kind[:-1]} must be")):
+            read_dataset(tmp_path / "d")
+
     @pytest.mark.parametrize("kind,maxval", [("images", 65535), ("masks", 255)])
     def test_size_unlike_the_first_image_names_line(self, tmp_path, kind, maxval):
         write_dataset(generate_dataset(GeneratorConfig(n=3, image_size=32), 1),

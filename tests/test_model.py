@@ -310,7 +310,7 @@ class TestForwardPasses:
         a, b = (text_gated_forward(img, [make_emb(text, cfg)], w, cfg).data
                 for text in self.NEGATION_TWINS)
         np.testing.assert_allclose(a, b, atol=1e-6)
-        np.testing.assert_array_equal(predict_mask(a), predict_mask(b))
+        np.testing.assert_array_equal(predict_mask(a, 0.5), predict_mask(b, 0.5))
 
     def test_unet_params_strictly_fewer(self):
         cfg = tiny_config()

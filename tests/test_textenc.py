@@ -1,10 +1,14 @@
 """Tokenizer determinism and the frozen embedding contract."""
 
+import sys
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxseg import textenc
 from ctxseg.textenc import PAD_ID, VOCAB_MODULUS, embed, token_id, tokenize
+from oracles import tokens_loops
 
 
 def _ids(*tokens):
@@ -39,6 +43,30 @@ class TestTokenize:
         # real tokens first, then only padding
         valid = sum(tid != PAD_ID for tid in a)
         assert a[valid:] == [PAD_ID] * (max_tokens - valid)
+
+    def test_every_code_point_in_context_matches_the_loop(self, monkeypatch):
+        # each code point next to letters, punctuation and whitespace; with
+        # token_id as the identity, tokenize returns the token strings
+        monkeypatch.setattr(textenc, "token_id", lambda t: t)
+        step = 1 << 14
+        for lo in range(0, sys.maxunicode + 1, step):
+            text = "".join(f"q{c}z,{c} {c}"
+                           for c in map(chr, range(lo, lo + step)))
+            want = tokens_loops(text)
+            assert tokenize(text, len(want) + 1) == want + [PAD_ID], hex(lo)
+
+    def test_random_strings_match_the_loop(self):
+        rng = np.random.default_rng(2828)
+        alphabet = list("aZ09 .,-'()?!_/\\\t\n\x0b\x1c\x85\xa0"
+                        "\u2028\u3000\u00bf\u2014\u201c\u0130\u03a3\u00df\ufb01")
+        alphabet += map(chr, rng.integers(0, sys.maxunicode + 1, size=32))
+        for _ in range(4000):
+            chars = rng.choice(alphabet, size=rng.integers(0, 40))
+            text = "".join(chars)
+            max_tokens = int(rng.integers(1, 24))
+            ids = [token_id(t) for t in tokens_loops(text)[:max_tokens]]
+            assert tokenize(text, max_tokens) == (
+                ids + [PAD_ID] * (max_tokens - len(ids))), repr(text)
 
 
 class TestEmbed:

@@ -19,8 +19,8 @@ from ctxseg.diffcore import (AdamWState, adamw_step, backward, bce_with_logits,
 from ctxseg.errors import DataFormatError, ShapeError
 from ctxseg.model import ModelConfig, init_weights, predict_mask
 from ctxseg.train import (ABLATION_ARMS, TrainConfig, _as_weights, _forward_batch,
-                          ablate, attention_dump, evaluate, paper_arms, train,
-                          word_swap_probe)
+                          ablate, attention_dump, evaluate, paper_arms, predict,
+                          train, word_swap_probe)
 
 
 def tiny_train_config(**kwargs):
@@ -103,7 +103,22 @@ class TestEvaluate:
     def test_oracle_logits_give_dice_one(self, tiny_dataset):
         sample = tiny_dataset[0]
         logits = np.where(sample.mask > 0, 10.0, -10.0)[None, None]
-        assert dice(predict_mask(logits)[0, 0], sample.mask) == 1.0
+        assert dice(predict_mask(logits, 0.5)[0, 0], sample.mask) == 1.0
+
+    @pytest.mark.parametrize("ablation", ABLATION_ARMS)
+    def test_predict_is_the_batch_1_forward_mask(self, ablation, tiny_dataset,
+                                                 tmp_path):
+        cfg = tiny_train_config(ablation=ablation, threshold=0.3)
+        ckpt = tmp_path / "w.ctxn"
+        save_checkpoint(ckpt, init_weights(cfg.model,
+                                           with_attention=ablation != "baseline_unet"))
+        sample = tiny_dataset[0]
+        mask = predict(str(ckpt), sample.image, sample.report, cfg)
+        logits = _forward_batch(_as_weights(str(ckpt), cfg.model, ablation),
+                                [sample.image], [sample.report], cfg, train=False)
+        want = predict_mask(logits, 0.3)[0, 0]
+        assert mask.dtype == np.uint8 and mask.shape == sample.image.shape
+        assert mask.tobytes() == want.tobytes()
 
     def test_mean_matches_scores(self, tiny_dataset, tmp_path):
         cfg = tiny_train_config(epochs=1)
@@ -649,9 +664,26 @@ class TestAttentionDump:
         sample = next(s for s in tiny_dataset if "left" not in s.report.lower())
         with pytest.raises(ValueError,
                            match="swap source word of 'left->right' occurs in no report"):
-            attention_dump(init_weights(cfg.model), sample, tmp_path / "viz", cfg)
+            attention_dump(init_weights(cfg.model), sample, tmp_path / "viz", cfg,
+                           swap=("left", "right"))
         assert maxpool2_batches == []
         assert not (tmp_path / "viz").exists()
+
+    def test_default_swap_is_the_reports_own_side_word(self, tiny_dataset, tmp_path):
+        cfg = tiny_train_config()
+        weights = init_weights(cfg.model)
+        sample = next(s for s in tiny_dataset
+                      if "right" in s.report.split() and "left" not in s.report)
+        default = attention_dump(weights, sample, tmp_path / "default", cfg)
+        explicit = attention_dump(weights, sample, tmp_path / "explicit", cfg,
+                                  swap=("right", "left"))
+        assert len(default) == len(explicit) == 3 * cfg.model.depth * 2
+        for a, b in zip(default, explicit):
+            assert Path(a).name == Path(b).name
+            assert Path(a).read_bytes() == Path(b).read_bytes()
+        scales = [(d / "scales.txt").read_text()
+                  for d in (tmp_path / "default", tmp_path / "explicit")]
+        assert scales[0] == scales[1]
 
     def test_baseline_raises_before_reading_the_checkpoint(self, tiny_dataset,
                                                            tmp_path):
