@@ -20,8 +20,9 @@ that loading skips, so `--config run/invocation.json` repeats the run.
 This module owns the command line alone: it parses flags and the config
 document, dispatches each command to the library, prints what comes back,
 writes the echo and maps errors to exit codes. Every other rule lives in the
-library: data.py reads and writes image and mask files and checks their bit
-depth, and train.py runs one-image inference and picks viz's default swap.
+library: data.py's read_image, write_image, read_mask and write_mask are the
+only readers and writers of image and mask files and check their bit depth,
+and train.py runs one-image inference and picks viz's default swap.
 
 Exit codes: 0 success; 1 usage or config error, or any other invalid value
 (a ValueError, e.g. a swap word no report contains, or viz on an arm without
@@ -290,11 +291,13 @@ def _cmd_predict(args, cfg, gen, samples) -> None:
     image = read_image(args.image)
     truth = read_mask(args.truth) if args.truth else None
     mask = predict(args.checkpoint, image, args.report, cfg)
+    # a truth sized unlike the image fails here, before any output
+    score = dice(mask, truth) if truth is not None else None
     if args.mask_out:
         write_mask(args.mask_out, mask)
     print(f"predicted {int(mask.sum())} positive pixels")
-    if truth is not None:
-        print(f"dice={dice(mask, truth):.4f}")
+    if score is not None:
+        print(f"dice={score:.4f}")
 
 
 _COMMANDS = {

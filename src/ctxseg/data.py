@@ -17,12 +17,39 @@ axis is one cached (n, n) matrix with the boundary folded into its columns,
 so a blur is two GEMMs. Summing the folded taps first rounds differently
 from a tap-by-tap filter, by about 1e-15 relative, which the float32 images
 absorb.
+
+On disk, a dataset is one directory, laid out by `write_dataset` and read
+by `read_dataset`:
+
+    images/{id}.pgm   the image x, stored as round(x * 65535) in a 16-bit PGM
+    masks/{id}.pgm    the mask, stored as 255 inside and 0 outside in an
+                      8-bit PGM, and read back as 1 where a byte is > 127
+    manifest.jsonl    one JSON object per line, one line per sample in
+                      order: "id" ("000000", ...), "image" and "mask" (the
+                      two paths, relative to the directory), "report",
+                      "attrs" (the fields of SampleAttrs) and "seed" (the
+                      sample's generator seed)
+    meta.json         a JSON object free for the writer; gen-data records
+                      the generator config and the seed in it
+
+Every PGM file is binary ("P5"), and `read_pgm` parses its header with one
+regular expression of this grammar, in bytes: any run of whitespace and
+comments; the magic P5; then width, height and maxval, each a run of
+decimal digits after one whitespace byte and any run of whitespace and
+comments; then the one whitespace byte that ends the header. A comment runs
+from "#" to the next line feed, and whitespace is space, \t, \n, \r, \v or
+\f. Width and height are positive; maxval is 255, for one byte a pixel, or
+65535, for two big-endian bytes; and the payload holds exactly width x
+height pixels, row by row. `read_image`, `write_image`, `read_mask` and
+`write_mask` are the only readers and writers of image and mask files, so
+each bit depth is checked once.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -227,13 +254,18 @@ def generate_dataset(cfg: GeneratorConfig, base_seed: int) -> list:
 # ---------------------------------------------------------------------------
 # PGM (P5) files
 
+_PGM_DTYPES = {255: np.dtype(np.uint8), 65535: np.dtype(">u2")}
+# the header grammar of the module docstring; _PGM_SKIP is a run of
+# whitespace and comments
+_PGM_SKIP = rb"(?:\s|#[^\n]*\n)*"
+_PGM_HEADER = re.compile(
+    _PGM_SKIP + rb"P5" + (rb"\s" + _PGM_SKIP + rb"(\d+)") * 3 + rb"\s")
+
+
 def write_pgm(path, arr: np.ndarray, maxval: int) -> None:
-    if maxval == 65535:
-        payload = np.ascontiguousarray(arr, dtype=">u2")
-    elif maxval == 255:
-        payload = np.ascontiguousarray(arr, dtype=np.uint8)
-    else:
+    if maxval not in _PGM_DTYPES:
         raise ValueError(f"unsupported maxval {maxval}")
+    payload = np.ascontiguousarray(arr, dtype=_PGM_DTYPES[maxval])
     h, w = arr.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
@@ -241,56 +273,29 @@ def write_pgm(path, arr: np.ndarray, maxval: int) -> None:
 
 
 def read_pgm(path):
-    """Read a binary PGM into (ndarray, maxval); 16-bit data is big-endian."""
+    """Read a binary PGM into (ndarray, maxval); 16-bit data is big-endian.
+    DataFormatError, naming the file, for a header outside the grammar of
+    the module docstring, a width or height of 0, a maxval other than 255
+    or 65535, or a payload of the wrong length."""
     with open(path, "rb") as f:
         blob = f.read()
-
-    fields = []
-    off = 0
-    while len(fields) < 4:
-        while off < len(blob) and blob[off:off + 1].isspace():
-            off += 1
-        if off < len(blob) and blob[off:off + 1] == b"#":
-            nl = blob.find(b"\n", off)
-            off = len(blob) if nl < 0 else nl + 1
-            continue
-        start = off
-        while off < len(blob) and not blob[off:off + 1].isspace():
-            off += 1
-        if off == start:
-            raise DataFormatError(f"truncated PGM header in {path}")
-        fields.append(blob[start:off])
-    off += 1  # single whitespace byte separating header from payload
-
-    if fields[0] != b"P5":
-        raise DataFormatError(f"{path}: expected P5 magic, got {fields[0]!r}")
-    try:
-        w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    except ValueError:
-        raise DataFormatError(f"{path}: non-numeric PGM header fields") from None
-    if maxval not in (255, 65535):
+    m = _PGM_HEADER.match(blob)
+    if m is None:
+        raise DataFormatError(f"{path}: expected a PGM header of P5, width, "
+                              f"height and maxval, got {blob[:20]!r}")
+    w, h, maxval = map(int, m.groups())
+    if w == 0 or h == 0:
+        raise DataFormatError(f"{path}: PGM size {w}x{h} has no pixels")
+    if maxval not in _PGM_DTYPES:
         raise DataFormatError(f"{path}: unsupported maxval {maxval}")
-    dtype = ">u2" if maxval == 65535 else np.uint8
-    need = w * h * (2 if maxval == 65535 else 1)
-    payload = blob[off:]
+    dtype = _PGM_DTYPES[maxval]
+    need = w * h * dtype.itemsize
+    payload = blob[m.end():]
     if len(payload) != need:
         raise DataFormatError(
             f"{path}: payload is {len(payload)} bytes, expected {need}")
-    arr = np.frombuffer(payload, dtype=dtype).reshape(h, w)
-    return arr, maxval
+    return np.frombuffer(payload, dtype=dtype).reshape(h, w), maxval
 
-
-def encode_image(image: np.ndarray) -> np.ndarray:
-    return np.round(image.astype(np.float64) * 65535.0).astype(np.uint16)
-
-
-def decode_image(raw: np.ndarray) -> np.ndarray:
-    return (raw.astype(np.float32) / np.float32(65535.0))
-
-
-# An image file is a 16-bit PGM of the image times 65535; a mask file is an
-# 8-bit PGM, 255 inside the mask and 0 outside. These three functions are the
-# only readers and writers of either, so each bit depth is checked once.
 
 def read_image(path) -> np.ndarray:
     """The (H, W) float32 image in [0, 1] of a 16-bit PGM; DataFormatError,
@@ -298,7 +303,13 @@ def read_image(path) -> np.ndarray:
     raw, maxval = read_pgm(path)
     if maxval != 65535:
         raise DataFormatError(f"{path}: image must be a 16-bit PGM")
-    return decode_image(raw)
+    return raw.astype(np.float32) / np.float32(65535.0)
+
+
+def write_image(path, image: np.ndarray) -> None:
+    """Write a [0, 1] image as the 16-bit PGM that read_image reads back."""
+    write_pgm(path, np.round(image.astype(np.float64) * 65535.0).astype(np.uint16),
+              65535)
 
 
 def read_mask(path) -> np.ndarray:
@@ -326,7 +337,7 @@ def write_dataset(samples, out_dir, meta: dict | None = None) -> None:
     lines = []
     for i, smp in enumerate(samples):
         sid = f"{i:06d}"
-        write_pgm(out_dir / "images" / f"{sid}.pgm", encode_image(smp.image), 65535)
+        write_image(out_dir / "images" / f"{sid}.pgm", smp.image)
         write_mask(out_dir / "masks" / f"{sid}.pgm", smp.mask)
         lines.append(json.dumps({
             "id": sid,

@@ -56,7 +56,11 @@ def load_checkpoint(path) -> dict:
     out = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<I", take(4, "name length"))
-        name = take(nlen, "name").decode("utf-8")
+        try:
+            name = take(nlen, "name").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"tensor name at byte {off - nlen + e.start} "
+                                  f"is not UTF-8 in {path}") from None
         (ndim,) = struct.unpack("<I", take(4, "ndim"))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
         size = int(np.prod(dims, dtype=np.int64)) if ndim else 1

@@ -139,6 +139,30 @@ def tokens_loops(text):
     return out
 
 
+def pgm_header_loops(blob):
+    """The PGM header reader's byte loop: before each of four fields (magic,
+    width, height, maxval) skip whitespace and `#` comments, which end at a
+    line feed; a field is the next run of non-whitespace bytes; one byte
+    after the last field ends the header. (fields, payload offset), or None
+    where the header runs out of bytes."""
+    fields = []
+    off = 0
+    while len(fields) < 4:
+        while off < len(blob) and blob[off:off + 1].isspace():
+            off += 1
+        if off < len(blob) and blob[off:off + 1] == b"#":
+            nl = blob.find(b"\n", off)
+            off = len(blob) if nl < 0 else nl + 1
+            continue
+        start = off
+        while off < len(blob) and not blob[off:off + 1].isspace():
+            off += 1
+        if off == start:
+            return None
+        fields.append(blob[start:off])
+    return fields, off + 1
+
+
 def cross_attention_direct(q, token_mats, weights, level):
     """The text gate, one item and one pixel at a time, in float64.
 

@@ -7,12 +7,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ctxseg.cli import _build_parser, run
-from ctxseg.data import (GeneratorConfig, dice, encode_image, generate_dataset,
-                         read_dataset, read_image, read_mask, read_pgm,
-                         write_dataset, write_pgm)
+from ctxseg.data import (GeneratorConfig, dice, generate_dataset, read_dataset,
+                         read_image, read_mask, read_pgm, write_dataset,
+                         write_image, write_mask)
 from ctxseg.diffcore import save_checkpoint
 from ctxseg.model import ModelConfig, init_weights
 from ctxseg.train import TrainConfig, predict
@@ -245,7 +246,7 @@ def test_predict_on_baseline_checkpoint(tmp_path):
     ckpt = tmp_path / "baseline.ctxn"
     save_checkpoint(ckpt, init_weights(SMALL_MC, with_attention=False))
     sample = generate_dataset(GeneratorConfig(n=1, image_size=32), base_seed=5)[0]
-    write_pgm(tmp_path / "image.pgm", encode_image(sample.image), 65535)
+    write_image(tmp_path / "image.pgm", sample.image)
     argv = ["predict", "--checkpoint", str(ckpt),
             "--image", str(tmp_path / "image.pgm"), "--report", sample.report,
             "--mask-out", str(tmp_path / "mask.pgm"),
@@ -285,6 +286,31 @@ def test_predict_with_a_16_bit_truth_exits_2_naming_it(trained, data_dir, tmp_pa
     assert run(_with_small_model(argv)) == 2
     assert f"{image}: mask must be an 8-bit PGM" in _assert_one_error_line(capsys)
     assert not (tmp_path / "mask.pgm").exists()
+
+
+def test_predict_with_a_truth_of_another_size_exits_2_before_any_output(tmp_path,
+                                                                         capsys):
+    ckpt = tmp_path / "full.ctxn"
+    save_checkpoint(ckpt, init_weights(SMALL_MC))
+    sample = generate_dataset(GeneratorConfig(n=1, image_size=32), base_seed=5)[0]
+    write_image(tmp_path / "image.pgm", sample.image)
+    write_mask(tmp_path / "truth.pgm", np.zeros((64, 64), dtype=np.uint8))
+    argv = ["predict", "--checkpoint", str(ckpt), "--image", str(tmp_path / "image.pgm"),
+            "--report", sample.report, "--truth", str(tmp_path / "truth.pgm"),
+            "--mask-out", str(tmp_path / "mask.pgm")]
+    assert run(_with_small_model(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: dice: shapes (32, 32) vs (64, 64)\n"
+    assert not (tmp_path / "mask.pgm").exists()
+
+
+def test_predict_on_an_image_of_negative_size_exits_2_naming_it(tmp_path, capsys):
+    image = tmp_path / "image.pgm"
+    image.write_bytes(b"P5\n-4 -4\n255\n" + bytes(16))
+    argv = ["predict", "--checkpoint", str(tmp_path / "none.ctxn"),
+            "--image", str(image)]
+    assert run(_with_small_model(argv)) == 2
+    assert _assert_one_error_line(capsys).startswith(f"error: {image}: ")
 
 
 def test_probe_with_absent_swap_word_exits_1(tmp_path, capsys):

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxseg.data import (GeneratorConfig, Sample, SampleAttrs, SplitSpec,
-                         _blur, centroid_side, decode_image, dice, encode_image,
-                         generate_dataset, generate_sample, read_dataset,
-                         read_pgm, split_indices, write_dataset, write_pgm)
+                         _blur, centroid_side, dice, generate_dataset,
+                         generate_sample, read_dataset, read_image, read_pgm,
+                         split_indices, write_dataset, write_image, write_pgm)
 from ctxseg.errors import DataFormatError, ShapeError
 
-from oracles import dice_counters, gaussian_blur_loops
+from oracles import dice_counters, gaussian_blur_loops, pgm_header_loops
 
 _WORD_RE = re.compile(r"[a-z]+")
 
@@ -111,10 +111,9 @@ class TestPgm:
     def test_16bit_round_trip(self, tmp_path, rng):
         img = rng.random((6, 7)).astype(np.float32)
         path = tmp_path / "img.pgm"
-        write_pgm(path, encode_image(img), 65535)
-        raw, maxval = read_pgm(path)
-        assert maxval == 65535
-        back = decode_image(raw)
+        write_image(path, img)
+        assert read_pgm(path)[1] == 65535
+        back = read_image(path)
         assert np.abs(back - img).max() <= 1.0 / 65535
 
     def test_comment_lines_skipped(self, tmp_path):
@@ -134,6 +133,107 @@ class TestPgm:
         path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
         with pytest.raises(DataFormatError, match="payload"):
             read_pgm(path)
+
+    def test_gimp_comment_line_accepted(self, tmp_path):
+        path = tmp_path / "gimp.pgm"
+        path.write_bytes(b"P5\n# Created by GIMP version 2.10.30 PNM plug-in\n"
+                         b"2 1\n255\n\x01\x02")
+        arr, maxval = read_pgm(path)
+        assert maxval == 255
+        np.testing.assert_array_equal(arr, [[1, 2]])
+
+    @pytest.mark.parametrize("size,payload", [(b"-4 -4", bytes(16)),
+                                              (b"0 5", b""), (b"5 0", b"")],
+                             ids=["-4x-4", "0x5", "5x0"])
+    def test_signed_or_zero_size_names_the_file(self, tmp_path, size, payload):
+        # -4 -4 used to reach numpy's reshape; 0 5 read as a (5, 0) array
+        path = tmp_path / "size.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n255\n" + payload)
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: ")):
+            read_pgm(path)
+
+    def test_header_grammar_matches_the_loop(self, tmp_path):
+        # wherever the old byte loop reads P5 and three unsigned decimal
+        # fields with positive sizes, read_pgm reads the same fields and
+        # payload; it accepts nothing else
+        rng = np.random.default_rng(2929)
+        path = tmp_path / "h.pgm"
+        accepted = 0
+        for header in _pgm_headers(rng, 3000):
+            want, blob = _file_the_loop_reads(header, rng)
+            path.write_bytes(blob)
+            if want is None:
+                with pytest.raises(DataFormatError, match=re.escape(f"{path}: ")):
+                    read_pgm(path)
+            else:
+                arr, maxval = read_pgm(path)
+                assert (arr.shape, maxval, arr.tobytes()) == want, blob
+                accepted += 1
+        assert min(accepted, 3000 - accepted) > 900   # both sides are exercised
+
+
+_PGM_SPACE = b" \t\n\r\x0b\x0c"
+
+
+def _pgm_headers(rng, n):
+    """n fixed-seed P5 headers: sizes 0 to 4, whitespace runs, CR/LF,
+    comment lines, leading zeros and both maxvals; every other one with one
+    to three bytes replaced, inserted or deleted."""
+    def pick(options):
+        return options[rng.integers(len(options))]
+
+    def skip():
+        run = b""
+        for _ in range(rng.integers(0, 3) if rng.random() < 0.5 else 0):
+            run += (bytes([pick(_PGM_SPACE)]) if rng.random() < 0.6 else
+                    b"#" + pick([b"", b" Created by GIMP", b"#1 2 255", b" \r"])
+                    + b"\n")
+        return run
+
+    def field(value):
+        zeros = int(rng.integers(1, 3)) if rng.random() < 0.2 else 0
+        return b"0" * zeros + b"%d" % value
+
+    noise = list(b"P5 \t\n\r\x0b\x0c#0123456789+-_xa\xff\x00")
+    for k in range(n):
+        header = (skip() if rng.random() < 0.1 else b"") + b"P5"
+        for value in (rng.integers(0, 5), rng.integers(0, 5),
+                      pick([255, 65535])):
+            header += bytes([pick(_PGM_SPACE)]) + skip() + field(int(value))
+        header = bytearray(header + bytes([pick(_PGM_SPACE)]))
+        for _ in range(rng.integers(1, 4) if k % 2 else 0):
+            at = int(rng.integers(len(header) + 1))
+            op = rng.integers(3)
+            if op == 0 and at < len(header):
+                header[at] = pick(noise)
+            elif op == 1:
+                header.insert(at, pick(noise))
+            elif at < len(header):
+                del header[at]
+        yield bytes(header)
+
+
+def _file_the_loop_reads(header, rng):
+    """(want, blob): a file that starts with the header, and what read_pgm
+    must return for it by the old loop, ((h, w), maxval, payload), or None
+    where it must raise. A header the loop reads to its end gets no payload,
+    as the loop would read on into one."""
+    parsed = pgm_header_loops(header)
+    if parsed is None or parsed[1] > len(header):
+        return None, header
+    (magic, *sizes), off = parsed
+    if magic != b"P5" or not all(f.isdigit() for f in sizes):
+        return None, header + bytes(4)
+    w, h, maxval = map(int, sizes)
+    short = w * h * (2 if maxval == 65535 else 1) - (len(header) - off)
+    if not 0 <= short <= 4096:
+        return None, header
+    blob = header + rng.integers(0, 256, size=short, dtype=np.uint8).tobytes()
+    if rng.random() < 0.1:
+        return None, blob + b"\x00"
+    if 0 in (w, h) or maxval not in (255, 65535):
+        return None, blob
+    return ((h, w), maxval, blob[off:]), blob
 
 
 class TestDatasetIO:

@@ -220,6 +220,17 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match="truncated"):
             dc.load_checkpoint(path)
 
+    def test_name_that_is_not_utf8(self, tmp_path):
+        # a UnicodeDecodeError would leave the CLI as exit 1, not 2
+        path = tmp_path / "name.ctxn"
+        dc.save_checkpoint(path, {"wq": np.zeros(2)})
+        blob = path.read_bytes()
+        at = blob.index(b"wq")
+        path.write_bytes(blob[:at + 1] + b"\xff" + blob[at + 2:])
+        with pytest.raises(DataFormatError,
+                           match=f"tensor name at byte {at + 1} is not UTF-8"):
+            dc.load_checkpoint(path)
+
     def test_scalar_tensor(self, tmp_path):
         path = tmp_path / "s.ctxn"
         dc.save_checkpoint(path, {"s": np.array(3.5, dtype=np.float32)})
